@@ -339,8 +339,10 @@ void Simulator::build_shards() {
     sh.free_ids.reserve(static_cast<std::size_t>(hi - lo));
     for (std::int32_t id = hi - 1; id >= lo; --id) sh.free_ids.push_back(id);
     sh.link_heap.reserve(owned_links[static_cast<std::size_t>(i)]);
-    sh.outbox.resize(static_cast<std::size_t>(n_shards_));
-    for (auto& box : sh.outbox) box.reserve(64);
+    for (std::vector<Mailbox>& boxes : sh.outbox) {
+      boxes.resize(static_cast<std::size_t>(n_shards_));
+      for (Mailbox& box : boxes) box.msgs.reserve(64);
+    }
   }
 
   barrier_ = std::make_unique<SpinBarrier>(n_shards_);
@@ -1073,7 +1075,9 @@ void Simulator::purge_faulted_rings(Shard& sh) {
 
 void Simulator::push_msg(Shard& sh, std::int32_t dst,
                          const ShardMessage& msg) {
-  std::vector<ShardMessage>& box = sh.outbox[static_cast<std::size_t>(dst)];
+  std::vector<ShardMessage>& box =
+      sh.outbox[static_cast<std::size_t>(now_ & 1)]
+               [static_cast<std::size_t>(dst)].msgs;
   if (box.size() == box.capacity()) ++sh.msg_growth;
   // dfsim-check: allow(CHK-ALLOC): growth is counted in msg_growth
   box.push_back(msg);
@@ -1115,10 +1119,12 @@ void Simulator::release_packet(Shard& sh, std::int32_t packet) {
 void Simulator::merge_inboxes(Shard& sh) {
   // Fixed merge order — ascending source shard, FIFO within each box — is
   // what makes a sharded run a pure function of (params, seed, shards).
-  for (std::int32_t src = 0; src < n_shards_; ++src) {
-    std::vector<ShardMessage>& box =
-        shards_[static_cast<std::size_t>(src)].outbox[
-            static_cast<std::size_t>(sh.index)];
+  // The boxes read are last cycle's parity: their senders now write the
+  // other one, and only the sender clears a box (at its next cycle start).
+  const auto parity = static_cast<std::size_t>((now_ - 1) & 1);
+  for (const Shard& src : shards_) {
+    const std::vector<ShardMessage>& box =
+        src.outbox[parity][static_cast<std::size_t>(sh.index)].msgs;
     for (const ShardMessage& m : box) {
       switch (m.kind) {
         case ShardMessage::Kind::kLinkSend:
@@ -1133,7 +1139,6 @@ void Simulator::merge_inboxes(Shard& sh) {
           break;
       }
     }
-    box.clear();
   }
   if (snap_on_) {
     // Publish this shard's forward-port occupancy (credits just applied)
@@ -1159,44 +1164,49 @@ bool Simulator::monitor_update_due() const {
 }
 
 void Simulator::cycle_parallel(Shard& sh) {
-  // Phase schedule for this cycle, published by shard 0 before the last
-  // barrier of the previous cycle (or by run_parallel for the first), so
+  // Phase schedule for this cycle, published with now_ by the previous
+  // cycle's end-of-cycle completion (or by run_parallel for the first), so
   // every shard executes the same barrier count.
   const bool fault_cycle = fault_cycle_;
   const bool mech_cycle = mech_cycle_;
 
-  // Merge point: apply cross-shard events from the previous cycle. Every
-  // shard is past its route phase (dispatch barrier or end-of-cycle
-  // barrier), so outboxes addressed to us are quiescent.
+  // This cycle's outboxes were merged during the previous cycle, which the
+  // end-of-cycle barrier closed: recycle them before anything is sent.
+  for (Mailbox& box : sh.outbox[static_cast<std::size_t>(now_ & 1)]) {
+    box.msgs.clear();
+  }
+  // Merge point: apply cross-shard events from the previous cycle. Their
+  // senders finished writing them before that barrier, and this cycle's
+  // sends go to the other parity, so no barrier is needed after the merge
+  // — except to publish occ_snap_ to the snapshot probes.
   merge_inboxes(sh);
 
   if (fault_on_ && fault_cycle) {
     // The health map is global: one shard refreshes it while the rest wait.
-    // The barrier also fences purge's outbox appends from the merges above.
     if (sh.index == 0) advance_faults_serial();
     barrier_->arrive_and_wait();
     purge_faulted_rings(sh);
   }
 
-  barrier_->arrive_and_wait();  // merges/purges done; cycle phases begin
+  if (snap_on_) barrier_->arrive_and_wait();  // occ_snap_ published
   deliver_arrivals(sh);
   inject_traffic(sh);
   if (mech_cycle) {
-    // Mechanism update window: counters stop changing at the barrier above,
-    // and no shard reads the refreshed state until the one below.
+    // Mechanism update window: counters stop changing at the first barrier,
+    // and no shard reads the refreshed state until the second.
     barrier_->arrive_and_wait();
     update_mechanism(sh);
     barrier_->arrive_and_wait();
   }
   route_and_allocate(sh);
 
-  barrier_->arrive_and_wait();  // route done everywhere; outboxes quiescent
-  if (sh.index == 0) {
+  // Route done everywhere and this cycle's outboxes complete; the last
+  // shard to arrive advances the clock and the schedule for everyone.
+  barrier_->arrive_and_wait([this] {
     ++now_;
     fault_cycle_ = fault_on_ && now_ == fault_next_event_;
     mech_cycle_ = mechanism_update_due();
-  }
-  barrier_->arrive_and_wait();  // now_ and the next schedule published
+  });
 }
 
 void Simulator::worker_loop(std::int32_t shard_index) {
@@ -1227,7 +1237,8 @@ void Simulator::run_parallel(Cycle cycles) {
     std::lock_guard<std::mutex> lock(mu_);
     pending_cycles_ = cycles;
     done_count_ = 0;
-    // Initial phase schedule; subsequent cycles are published by shard 0.
+    // Initial phase schedule; the end-of-cycle completion publishes the
+    // rest.
     fault_cycle_ = fault_on_ && now_ == fault_next_event_;
     mech_cycle_ = mechanism_update_due();
     ++epoch_;
@@ -1548,11 +1559,14 @@ bool Simulator::debug_check_active_state() const {
   }
 
   // (3) Pool accounting: every live packet sits in a queue, on a link, or
-  // (sharded) in a kLinkSend handoff waiting in an outbox.
+  // (sharded) in a kLinkSend handoff waiting in an outbox. Only the parity
+  // the last completed cycle wrote is pending; the other still holds
+  // messages that were already merged.
+  const auto sent = static_cast<std::size_t>((now_ - 1) & 1);
   std::int64_t pending_sends = 0;
   for (const Shard& sh : shards_) {
-    for (const auto& box : sh.outbox) {
-      for (const ShardMessage& m : box) {
+    for (const Mailbox& box : sh.outbox[sent]) {
+      for (const ShardMessage& m : box.msgs) {
         if (m.kind == ShardMessage::Kind::kLinkSend) ++pending_sends;
       }
     }

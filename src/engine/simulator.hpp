@@ -57,16 +57,17 @@
 // that crosses a shard boundary — a packet departing onto a link whose
 // downstream router lives elsewhere, a credit return to an upstream shard, a
 // packet id going home to its allocating shard — travels through per-shard
-// outboxes applied at the next cycle's merge point in fixed (source shard,
-// FIFO) order, so results are a pure function of (params, seed,
-// engine.threads). threads = 1 runs the exact serial code path and stays
-// bit-exact with the goldens; threads > 1 is deterministic per shard count
-// but intentionally NOT bit-exact across shard counts (cross-shard credits
-// land one cycle late, remote occupancy probes read a cycle-start snapshot,
-// and each shard draws from its own RNG stream). See ARCHITECTURE.md,
-// "Sharded execution".
+// outboxes (double-buffered by cycle parity) applied at the next cycle's
+// merge point in fixed (source shard, FIFO) order, so results are a pure
+// function of (params, seed, engine.threads). threads = 1 runs the exact
+// serial code path and stays bit-exact with the goldens; threads > 1 is
+// deterministic per shard count but intentionally NOT bit-exact across
+// shard counts (cross-shard credits land one cycle late, remote occupancy
+// probes read a cycle-start snapshot, and each shard draws from its own RNG
+// stream). See ARCHITECTURE.md, "Sharded execution".
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -309,6 +310,12 @@ class Simulator : private routing::EngineProbe {
     std::int32_t packet = kInvalidPacket;  // kLinkSend/kFreeId
     Cycle arrival = 0;                     // kLinkSend
   };
+  /// One (source, parity, destination) message box, on its own cache line
+  /// so a receiver reading it never shares a line with the sender's other
+  /// boxes.
+  struct alignas(64) Mailbox {
+    std::vector<ShardMessage> msgs;
+  };
 
   /// One worker shard: a contiguous router range [r_lo, r_hi) plus every
   /// piece of per-cycle mutable state that only that range's owner may
@@ -337,8 +344,11 @@ class Simulator : private routing::EngineProbe {
     // delta, so the sum over shards is the exact in-network population.
     std::vector<std::int32_t> free_ids;
     std::int64_t live = 0;
-    std::vector<std::vector<ShardMessage>> outbox;  // one per dest shard
     std::int64_t msg_growth = 0;
+    // Outboxes by cycle parity, one per dest shard: cycle t sends into
+    // parity t & 1 while receivers merge parity (t - 1) & 1. Every receiver
+    // reads these headers, so they get a line of their own.
+    alignas(64) std::array<std::vector<Mailbox>, 2> outbox;
   };
 
   // --- construction helpers
@@ -559,9 +569,9 @@ class Simulator : private routing::EngineProbe {
   std::int32_t done_count_ = 0;    // workers finished this dispatch
   Cycle pending_cycles_ = 0;
   bool stop_ = false;
-  // Next-cycle phase schedule, written by shard 0 in its exclusive window
-  // (between the last two barriers of a cycle) and read by every shard
-  // after the barrier — keeps all shards' barrier counts aligned without
+  // Next-cycle phase schedule, written with ++now_ by the end-of-cycle
+  // barrier's completion (every shard is parked there) and read by every
+  // shard after it — keeps all shards' barrier counts aligned without
   // racing on fault_next_event_.
   bool fault_cycle_ = false;
   bool mech_cycle_ = false;

@@ -18,15 +18,21 @@ class SpinBarrier {
   SpinBarrier(const SpinBarrier&) = delete;
   SpinBarrier& operator=(const SpinBarrier&) = delete;
 
-  /// Blocks until all `parties` threads have arrived. The last arrival
-  /// resets the count and releases the generation; everyone else spins on
-  /// the generation word. The release/acquire pair on gen_ orders every
-  /// write before the barrier with every read after it, in both directions.
-  void arrive_and_wait() {
+  void arrive_and_wait() { arrive_and_wait([] {}); }
+
+  /// Blocks until all `parties` threads have arrived. The last arrival runs
+  /// `completion` (once per generation, while every other thread still
+  /// waits), then resets the count and releases the generation. The
+  /// acq_rel chain on count_ makes every write before arriving visible to
+  /// the completion; the release/acquire pair on gen_ makes those writes
+  /// and the completion's visible to every thread after the barrier.
+  template <typename Completion>
+  void arrive_and_wait(Completion&& completion) {
     const std::uint64_t gen = gen_.load(std::memory_order_acquire);
     if (count_.fetch_add(1, std::memory_order_acq_rel) == parties_ - 1) {
       count_.store(0, std::memory_order_relaxed);
-      gen_.fetch_add(1, std::memory_order_release);
+      completion();
+      gen_.store(gen + 1, std::memory_order_release);
       return;
     }
     while (gen_.load(std::memory_order_acquire) == gen) {
@@ -36,8 +42,9 @@ class SpinBarrier {
 
  private:
   const std::int32_t parties_;
-  std::atomic<std::int32_t> count_{0};
-  std::atomic<std::uint64_t> gen_{0};
+  // Arrivals write count_ while waiters poll gen_: separate lines.
+  alignas(64) std::atomic<std::int32_t> count_{0};
+  alignas(64) std::atomic<std::uint64_t> gen_{0};
 };
 
 }  // namespace dfsim

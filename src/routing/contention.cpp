@@ -76,7 +76,7 @@ Decision EctnMechanism::decide_transit(Rng& rng, std::int32_t, RouterId r,
   return transit_decision(rng, r, dst, /*use_occupancy=*/false);
 }
 
-std::int64_t EctnMechanism::candidate_bias(RouterId r,
+std::int64_t EctnMechanism::candidate_bias(Cycle, RouterId r,
                                            const NonminCandidate& c) const {
   return ectn_.value(topo_.ectn_domain(r), c.channel);
 }

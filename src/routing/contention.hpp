@@ -89,7 +89,7 @@ class EctnMechanism final : public TransitMechanism {
 
  private:
   [[nodiscard]] std::int64_t candidate_bias(
-      RouterId r, const NonminCandidate& c) const override;
+      Cycle now, RouterId r, const NonminCandidate& c) const override;
 
   EctnSnapshot ectn_;
 };

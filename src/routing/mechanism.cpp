@@ -44,13 +44,13 @@ bool RoutingMechanism::update_due(Cycle) const { return false; }
 
 void RoutingMechanism::update(Cycle, std::int32_t, RouterId, RouterId) {}
 
-std::int64_t RoutingMechanism::candidate_bias(RouterId,
+std::int64_t RoutingMechanism::candidate_bias(Cycle, RouterId,
                                               const NonminCandidate&) const {
   return 0;
 }
 
-bool RoutingMechanism::pick_misroute_channel(Rng& rng, RouterId r, NodeId dst,
-                                             bool use_occupancy,
+bool RoutingMechanism::pick_misroute_channel(Rng& rng, Cycle now, RouterId r,
+                                             NodeId dst, bool use_occupancy,
                                              NonminCandidate& best) {
   // Target number of distinct scored options per decision (the paper's CRG
   // candidate set size at its h=8 router; pools at or below this are
@@ -66,7 +66,7 @@ bool RoutingMechanism::pick_misroute_channel(Rng& rng, RouterId r, NodeId dst,
   NonminCandidate cand;
   const auto consider = [&](const NonminCandidate& c) {
     std::int64_t score = counters_.value(flat_port(r, c.first_hop));
-    score += candidate_bias(r, c);
+    score += candidate_bias(now, r, c);
     if (use_occupancy) {
       score += eng_.occupancy_phits(r, c.first_hop) / psize_;
     }
@@ -157,7 +157,8 @@ Decision RoutingMechanism::transit_decision(Rng& rng, RouterId r, NodeId dst,
                                             bool use_occupancy) {
   Decision dec;
   NonminCandidate cand;
-  if (pick_misroute_channel(rng, r, dst, use_occupancy, cand)) {
+  // decide_transit carries no cycle; no in-transit mechanism's bias reads it.
+  if (pick_misroute_channel(rng, /*now=*/0, r, dst, use_occupancy, cand)) {
     dec.misroute = true;
     dec.cand = cand;
   }

@@ -168,13 +168,14 @@ class RoutingMechanism {
   /// Scored candidate sampling over the topology's nonminimal pool:
   /// contention counters plus candidate_bias() plus (optionally) local
   /// occupancy; false when no candidate was drawn.
-  [[nodiscard]] bool pick_misroute_channel(Rng& rng, RouterId r, NodeId dst,
-                                           bool use_occupancy,
+  [[nodiscard]] bool pick_misroute_channel(Rng& rng, Cycle now, RouterId r,
+                                           NodeId dst, bool use_occupancy,
                                            NonminCandidate& best);
-  /// Additional per-candidate score a mechanism contributes (ECtN: the
-  /// remote-contention snapshot for the candidate's channel). Default 0.
+  /// Additional per-candidate score a mechanism contributes at decision
+  /// cycle `now` (ECtN: the remote-contention snapshot for the candidate's
+  /// channel; ARN: the live-notification penalty). Default 0.
   [[nodiscard]] virtual std::int64_t candidate_bias(
-      RouterId r, const NonminCandidate& c) const;
+      Cycle now, RouterId r, const NonminCandidate& c) const;
   /// The UGAL comparison: min-path queue*latency vs candidate queue*latency
   /// plus the configured threshold offset (fault degradation and — with
   /// global_info — remote probe terms included).

@@ -21,13 +21,12 @@ ArnMechanism::ArnMechanism(const SimParams& params, const Topology& topo,
 
 Decision ArnMechanism::decide_injection(Rng& rng, Cycle now, std::int32_t,
                                         RouterId r, NodeId dst) {
-  decision_now_ = now;
   // The candidate pick always runs so the RNG draw count per decision
   // stays fixed (bit-exactness rule) even when the route is not hot.
   const bool min_hot = min_route_notified(now, r, dst);
   Decision dec;
   NonminCandidate cand;
-  if (pick_misroute_channel(rng, r, dst, /*use_occupancy=*/true, cand) &&
+  if (pick_misroute_channel(rng, now, r, dst, /*use_occupancy=*/true, cand) &&
       min_hot) {
     dec.misroute = true;
     dec.cause = telemetry::MisrouteCause::kNotify;
@@ -36,12 +35,12 @@ Decision ArnMechanism::decide_injection(Rng& rng, Cycle now, std::int32_t,
   return dec;
 }
 
-std::int64_t ArnMechanism::candidate_bias(RouterId r,
+std::int64_t ArnMechanism::candidate_bias(Cycle now, RouterId r,
                                           const NonminCandidate& c) const {
   // Steer the candidate pick away from first hops that are themselves
   // under a live notification; the penalty weighs like a saturated
   // contention counter, so un-notified candidates win ties decisively.
-  return notified(decision_now_, r, c.first_hop)
+  return notified(now, r, c.first_hop)
              ? static_cast<std::int64_t>(params_.counter_saturation)
              : 0;
 }

@@ -66,7 +66,7 @@ class ArnMechanism final : public RoutingMechanism {
                                         NodeId dst) const;
 
   [[nodiscard]] std::int64_t candidate_bias(
-      RouterId r, const NonminCandidate& c) const override;
+      Cycle now, RouterId r, const NonminCandidate& c) const override;
 
   const NotifyParams notify_;
   // Per-(router, forward port) notification slots, flat_port-indexed:
@@ -75,9 +75,6 @@ class ArnMechanism final : public RoutingMechanism {
   // inside the update window; read by every shard outside it.
   std::vector<Cycle> active_at_;
   std::vector<Cycle> expires_at_;
-  // Decision-time cycle, cached by decide_injection so candidate_bias
-  // (called from pick_misroute_channel) can test liveness.
-  Cycle decision_now_ = 0;
 };
 
 }  // namespace dfsim::routing

@@ -2,11 +2,12 @@
 
 namespace dfsim::routing {
 
-Decision UgalMechanism::decide_injection(Rng& rng, Cycle, std::int32_t shard,
+Decision UgalMechanism::decide_injection(Rng& rng, Cycle now,
+                                         std::int32_t shard,
                                          RouterId r, NodeId dst) {
   Decision dec;
   NonminCandidate cand;
-  if (pick_misroute_channel(rng, r, dst, /*use_occupancy=*/true, cand) &&
+  if (pick_misroute_channel(rng, now, r, dst, /*use_occupancy=*/true, cand) &&
       ugal_prefers_misroute(shard, r, dst, cand, global_info_)) {
     dec.misroute = true;
     dec.cause = telemetry::MisrouteCause::kUgal;
@@ -15,7 +16,7 @@ Decision UgalMechanism::decide_injection(Rng& rng, Cycle, std::int32_t shard,
   return dec;
 }
 
-Decision PiggybackMechanism::decide_injection(Rng& rng, Cycle,
+Decision PiggybackMechanism::decide_injection(Rng& rng, Cycle now,
                                               std::int32_t shard, RouterId r,
                                               NodeId dst) {
   // Remote link-state flag for the minimal route (piggybacked state in the
@@ -27,7 +28,7 @@ Decision PiggybackMechanism::decide_injection(Rng& rng, Cycle,
                    params_.olm_credit_fraction);
   Decision dec;
   NonminCandidate cand;
-  if (pick_misroute_channel(rng, r, dst, /*use_occupancy=*/true, cand) &&
+  if (pick_misroute_channel(rng, now, r, dst, /*use_occupancy=*/true, cand) &&
       (min_congested ||
        ugal_prefers_misroute(shard, r, dst, cand, false))) {
     dec.misroute = true;

@@ -18,6 +18,13 @@
 //     return, snapshot staleness). Their documents differ — and both still
 //     pass the paper-parity trend gates, because sharding changes draw
 //     sequences, not physics.
+// (4) Dispatch boundaries are invisible: run(N), N x step() and
+//     run(k) + run(N - k) give byte-identical results, and the active-set
+//     cross-check and conservation hold after every call. Outboxes are
+//     double-buffered by cycle parity, so a boundary leaves one parity
+//     pending and the other already merged; faults, mechanism-update
+//     windows and snapshot probes each add barriers the boundary must keep
+//     aligned.
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +47,15 @@ struct RunCapture {
   std::vector<Simulator::Delivery> deliveries;
   std::int64_t in_network = 0;
 };
+
+RunCapture capture(const Simulator& sim) {
+  RunCapture cap;
+  cap.metrics = sim.metrics();
+  cap.totals = sim.lifetime_totals();
+  cap.deliveries = sim.delivery_log();
+  cap.in_network = sim.packets_in_network();
+  return cap;
+}
 
 RunCapture run_once(std::int32_t threads, std::int32_t jitter_us,
                     RoutingKind kind = RoutingKind::kCbHybrid) {
@@ -64,14 +80,47 @@ RunCapture run_once(std::int32_t threads, std::int32_t jitter_us,
   sim.run(300);
   sim.begin_measurement();
   sim.run(900);
-  RunCapture cap;
-  cap.metrics = sim.metrics();
-  cap.totals = sim.lifetime_totals();
-  cap.deliveries = sim.delivery_log();
-  cap.in_network = sim.packets_in_network();
+  const RunCapture cap = capture(sim);
   Simulator::debug_set_shard_jitter(0);
   assert(sim.debug_check_active_state());
   return cap;
+}
+
+// ADV+1 at tiny scale with a fault onset inside the window; `kind` picks
+// which extra barriers the cycles carry (ECtN: update windows; PB and ARN:
+// snapshot probes, ARN with update windows and the injection throttle).
+RunCapture run_dispatched(std::int32_t threads, RoutingKind kind,
+                          const std::vector<Cycle>& calls) {
+  SimParams p = presets::tiny();
+  p.routing.kind = kind;
+  if (kind == RoutingKind::kArn) {
+    p.notify.enabled = true;
+    p.notify.throttle_injection = true;
+  }
+  p.traffic.kind = TrafficKind::kAdversarial;
+  p.traffic.load = 0.35;
+  p.traffic.adv_offset = 1;
+  p.seed = 77;
+  p.engine.threads = threads;
+  p.fault.enabled = true;
+  p.fault.onset = 61;
+  p.fault.link_fail_fraction = 0.05;
+  p.fault.link_class = "global";
+  Simulator sim(p);
+  sim.enable_delivery_log();
+  for (const Cycle n : calls) {
+    if (n == 1) {
+      sim.step();
+    } else {
+      sim.run(n);
+    }
+    if (!sim.debug_check_active_state() || sim.conservation_error() != 0) {
+      std::fprintf(stderr, "invariant broken at cycle %lld (threads %d)\n",
+                   static_cast<long long>(sim.now()), threads);
+      std::exit(EXIT_FAILURE);
+    }
+  }
+  return capture(sim);
 }
 
 bool identical(const RunCapture& a, const RunCapture& b) {
@@ -188,6 +237,27 @@ int main() {
                      o.detail.c_str());
       }
       return EXIT_FAILURE;
+    }
+  }
+
+  // --- (4) dispatch boundaries: one run, per-cycle steps, a split run ----
+  constexpr Cycle kCycles = 240;
+  constexpr Cycle kSplit = 97;  // odd: the second dispatch starts on parity 1
+  for (const std::int32_t threads : {2, 4}) {
+    for (const RoutingKind kind :
+         {RoutingKind::kCbEctn, RoutingKind::kPiggyback, RoutingKind::kArn}) {
+      const RunCapture whole = run_dispatched(threads, kind, {kCycles});
+      assert(whole.metrics.delivered > 0);
+      assert(whole.totals.dropped > 0);  // the fault onset fell inside
+      const std::vector<Cycle> steps(static_cast<std::size_t>(kCycles), 1);
+      const RunCapture stepped = run_dispatched(threads, kind, steps);
+      const RunCapture split =
+          run_dispatched(threads, kind, {kSplit, kCycles - kSplit});
+      if (!identical(whole, stepped) || !identical(whole, split)) {
+        std::fprintf(stderr, "%s at threads %d depends on dispatch sizes\n",
+                     to_string(kind).c_str(), threads);
+        return EXIT_FAILURE;
+      }
     }
   }
 

@@ -4,8 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
-#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "engine/head_wait.hpp"
 #include "routing/factory.hpp"
@@ -194,6 +194,7 @@ void Simulator::build_layout() {
   ring_head_.assign(n_out, 0);
   ring_count_.assign(n_out, 0);
   std::int32_t ring_total = 0;
+  std::int32_t max_flight = 0;
   for (RouterId r = 0; r < routers; ++r) {
     for (PortIndex port = 0; port < fwd_; ++port) {
       const std::size_t idx = static_cast<std::size_t>(flat_port(r, port));
@@ -203,12 +204,17 @@ void Simulator::build_layout() {
       ring_offset_[idx] = ring_total;
       ring_cap_[idx] = cap;
       ring_total += cap;
+      max_flight = std::max(max_flight, link_delay_[idx] + extra);
     }
   }
   ring_slab_.assign(static_cast<std::size_t>(ring_total), LinkEvent{});
 
-  // Due-link heap keys must be able to carry every link id.
-  assert(n_out < (std::size_t{1} << kLinkBits));
+  // Timing-wheel shape (the per-shard buckets are zeroed in build_shards).
+  wheel_mask_ = static_cast<Cycle>(
+      std::bit_ceil(static_cast<std::uint32_t>(max_flight) + 1) - 1);
+  const std::size_t link_words = (n_out + 63) / 64;
+  wheel_sum_words_ = (link_words + 63) / 64;
+  wheel_stride_ = wheel_sum_words_ + link_words;
 
   // Preallocate the packet pool to its structural upper bound: every packet
   // is either in some queue slot or on some link ring.
@@ -261,15 +267,12 @@ void Simulator::build_shards() {
     sh.request_batch.reserve(radix_, vmax_);
     sh.router_active.assign(
         static_cast<std::size_t>((r_hi - r_lo + 63) / 64), 0);
+    sh.wheel.assign(static_cast<std::size_t>(wheel_mask_ + 1) * wheel_stride_,
+                    0);
     shards_.push_back(std::move(sh));
   }
 
-  if (n_shards_ == 1) {
-    // Due-link heap: at most one entry per link, so this reserve is a hard
-    // structural bound and the heap never allocates after construction.
-    shards_[0].link_heap.reserve(n_out);
-    return;
-  }
+  if (n_shards_ == 1) return;
 
   // Ownership tables, derived from the wiring rather than topology
   // symmetry assumptions: the credit counter of queue block (r, ip) belongs
@@ -291,14 +294,6 @@ void Simulator::build_shards() {
       credit_owner_[static_cast<std::size_t>(down_port)] = own;
       link_owner_[flat] = shard_of_router_[static_cast<std::size_t>(
           down_queue_base_[flat] / (radix_ * vmax_))];
-    }
-  }
-
-  // Per-shard due-link heap reserves (one slot per owned link).
-  std::vector<std::size_t> owned_links(static_cast<std::size_t>(n_shards_), 0);
-  for (std::size_t l = 0; l < n_out; ++l) {
-    if (ring_cap_[l] > 0) {
-      ++owned_links[static_cast<std::size_t>(link_owner_[l])];
     }
   }
 
@@ -338,7 +333,6 @@ void Simulator::build_shards() {
     const std::int32_t hi = shard_id_base_[static_cast<std::size_t>(i) + 1];
     sh.free_ids.reserve(static_cast<std::size_t>(hi - lo));
     for (std::int32_t id = hi - 1; id >= lo; --id) sh.free_ids.push_back(id);
-    sh.link_heap.reserve(owned_links[static_cast<std::size_t>(i)]);
     for (std::vector<Mailbox>& boxes : sh.outbox) {
       boxes.resize(static_cast<std::size_t>(n_shards_));
       for (Mailbox& box : boxes) box.msgs.reserve(64);
@@ -664,66 +658,67 @@ void Simulator::maybe_local_detour(Shard& sh, RouterId r, std::int32_t q) {
 // ---------------------------------------------------------------------------
 // Per-cycle phases
 
-void Simulator::link_heap_push(Shard& sh, std::uint64_t key) {
-  // dfsim-check: allow(CHK-ALLOC): reserved to the distinct-link bound
-  sh.link_heap.push_back(key);
-  std::push_heap(sh.link_heap.begin(), sh.link_heap.end(),
-                 std::greater<std::uint64_t>{});
-}
-
-std::uint64_t Simulator::link_heap_pop(Shard& sh) {
-  std::pop_heap(sh.link_heap.begin(), sh.link_heap.end(),
-                std::greater<std::uint64_t>{});
-  const std::uint64_t key = sh.link_heap.back();
-  sh.link_heap.pop_back();
-  return key;
+void Simulator::wheel_mark(Shard& sh, std::size_t l, Cycle arrival,
+                           bool arm) {
+  std::uint64_t* bucket =
+      sh.wheel.data() +
+      static_cast<std::size_t>(arrival & wheel_mask_) * wheel_stride_;
+  std::uint64_t& word = bucket[wheel_sum_words_ + (l >> 6)];
+  std::uint64_t& sum = bucket[l >> 12];  // summary word of link word l >> 6
+  const std::uint64_t bit = std::uint64_t{1} << (l & 63);
+  const std::uint64_t sum_bit = std::uint64_t{1} << ((l >> 6) & 63);
+  word = arm ? word | bit : word & ~bit;
+  sum = word != 0 ? sum | sum_bit : sum & ~sum_bit;
 }
 
 void Simulator::ring_insert(Shard& sh, std::int32_t flat,
                             const LinkEvent& ev) {
   const auto l = static_cast<std::size_t>(flat);
   assert(ring_count_[l] < ring_cap_[l]);
+  assert(ev.arrival >= now_ && ev.arrival - now_ <= wheel_mask_);
   const std::int32_t slot =
       ring_offset_[l] + (ring_head_[l] + ring_count_[l]) % ring_cap_[l];
   ring_slab_[static_cast<std::size_t>(slot)] = ev;
-  // A ring going non-empty registers its (only possible due) front entry in
-  // the due-link heap; rings already in flight keep their existing key.
-  if (ring_count_[l]++ == 0) {
-    link_heap_push(sh, link_key(ev.arrival, flat));
-  }
+  // A ring going non-empty arms its front; later entries wait behind it.
+  if (ring_count_[l]++ == 0) wheel_mark(sh, l, ev.arrival, true);
 }
 
 void Simulator::deliver_arrivals(Shard& sh) {
   // Per-link FIFO rings: arrivals on a link are strictly increasing and
-  // spaced >= psize cycles, so only the front entry can be due and each
-  // ring contributes one heap key. Idle links cost nothing; same-cycle
-  // arrivals pop in ascending link order (the key's low bits), matching
-  // the pre-active-set full scan bit-exactly.
-  while (!sh.link_heap.empty()) {
-    const std::uint64_t top = sh.link_heap.front();
-    if (static_cast<Cycle>(top >> kLinkBits) != now_) {
-      assert(static_cast<Cycle>(top >> kLinkBits) > now_);
-      break;
+  // spaced >= psize cycles, so only the front entry can be due, and it is
+  // due exactly when its bit sits in this cycle's bucket (every front lies
+  // in [now, now + W)). Summary, words and bits are walked ascending, so
+  // same-cycle arrivals pop in ascending link order, matching the
+  // pre-active-set full scan bit-exactly. A re-armed next front is strictly
+  // later and under W cycles out, so it never lands in this bucket.
+  std::uint64_t* bucket =
+      sh.wheel.data() +
+      static_cast<std::size_t>(now_ & wheel_mask_) * wheel_stride_;
+  for (std::size_t s = 0; s < wheel_sum_words_; ++s) {
+    for (std::uint64_t sum = std::exchange(bucket[s], 0); sum != 0;
+         sum &= sum - 1) {
+      const std::size_t w = s * 64 + std::countr_zero(sum);
+      for (std::uint64_t bits = std::exchange(bucket[wheel_sum_words_ + w], 0);
+           bits != 0; bits &= bits - 1) {
+        const std::size_t l = w * 64 + std::countr_zero(bits);
+        const LinkEvent ev = ring_slab_[static_cast<std::size_t>(
+            ring_offset_[l] + ring_head_[l])];
+        assert(ev.arrival == now_);
+        ring_head_[l] = (ring_head_[l] + 1) % ring_cap_[l];
+        if (--ring_count_[l] > 0) {
+          const LinkEvent& next = ring_slab_[static_cast<std::size_t>(
+              ring_offset_[l] + ring_head_[l])];
+          wheel_mark(sh, l, next.arrival, true);
+        }
+        if (trace_on_) {
+          tracer_.record_hop(
+              now_, ev.packet, ev.down_queue / (radix_ * vmax_),
+              telemetry::TraceEvent::kLinkArrive,
+              static_cast<std::uint8_t>((ev.down_queue / vmax_) % radix_));
+        }
+        push_queue(sh, ev.down_queue, ev.packet);
+      }
     }
-    const auto l = static_cast<std::size_t>(
-        top & ((std::uint64_t{1} << kLinkBits) - 1));
-    (void)link_heap_pop(sh);
-    const LinkEvent ev =
-        ring_slab_[static_cast<std::size_t>(ring_offset_[l] + ring_head_[l])];
-    assert(ev.arrival == now_);
-    ring_head_[l] = (ring_head_[l] + 1) % ring_cap_[l];
-    if (--ring_count_[l] > 0) {
-      const LinkEvent& next = ring_slab_[static_cast<std::size_t>(
-          ring_offset_[l] + ring_head_[l])];
-      link_heap_push(sh, link_key(next.arrival, static_cast<std::int32_t>(l)));
-    }
-    if (trace_on_) {
-      tracer_.record_hop(now_, ev.packet, ev.down_queue / (radix_ * vmax_),
-                         telemetry::TraceEvent::kLinkArrive,
-                         static_cast<std::uint8_t>((ev.down_queue / vmax_) %
-                                                   radix_));
-    }
-    push_queue(sh, ev.down_queue, ev.packet);
   }
 }
 
@@ -1015,12 +1010,15 @@ void Simulator::purge_faulted_rings(Shard& sh) {
   // in-network) keeps holding exactly. Sharded: each shard purges only the
   // rings it owns; credits whose upstream is remote ride the inbox and land
   // at the next merge.
-  bool purged = false;
   for (const std::int32_t id : fault_.faulty_links()) {
     const auto l = static_cast<std::size_t>(id);
     if (n_shards_ > 1 && link_owner_[l] != sh.index) continue;
     if (ring_count_[l] == 0) continue;
     if (health_.link_up(id / radix_, id % radix_)) continue;
+    // The ring's one wheel bit sits in its front's bucket.
+    const LinkEvent& front = ring_slab_[static_cast<std::size_t>(
+        ring_offset_[l] + ring_head_[l])];
+    wheel_mark(sh, l, front.arrival, false);
     while (ring_count_[l] > 0) {
       const LinkEvent& ev = ring_slab_[static_cast<std::size_t>(
           ring_offset_[l] + ring_head_[l])];
@@ -1051,22 +1049,6 @@ void Simulator::purge_faulted_rings(Shard& sh) {
       ring_head_[l] = (ring_head_[l] + 1) % ring_cap_[l];
       --ring_count_[l];
     }
-    purged = true;
-  }
-  if (!purged) return;
-
-  // Rebuild the shard's due-link heap so the one-key-per-non-empty-ring
-  // invariant survives the purge (ties keep popping in ascending link
-  // order).
-  sh.link_heap.clear();
-  for (std::size_t l = 0; l < ring_count_.size(); ++l) {
-    // Ownership first: every shard purges concurrently, so ring_count_ of a
-    // link another shard owns may be mid-write — don't even read it.
-    if (n_shards_ > 1 && link_owner_[l] != sh.index) continue;
-    if (ring_count_[l] == 0) continue;
-    const LinkEvent& front = ring_slab_[static_cast<std::size_t>(
-        ring_offset_[l] + ring_head_[l])];
-    link_heap_push(sh, link_key(front.arrival, static_cast<std::int32_t>(l)));
   }
 }
 
@@ -1516,44 +1498,53 @@ bool Simulator::debug_check_active_state() const {
     if (rset != (any != 0)) return false;
   }
 
-  // (2) Each shard's due-link heap holds exactly one entry per non-empty
-  // ring it owns, keyed by that ring's front arrival, and every key is
-  // still in the future or due this cycle.
-  std::vector<std::vector<std::uint64_t>> keys(shards_.size());
-  std::vector<std::size_t> nonempty(shards_.size(), 0);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    keys[s] = shards_[s].link_heap;
-    std::sort(keys[s].begin(), keys[s].end());
+  // (2) Wheel: every summary bit mirrors (link word != 0) and every set bit
+  // is a non-empty ring the shard owns, in its front arrival's bucket; each
+  // non-empty ring has exactly one bit and a front in [now, now + W).
+  const std::size_t links = ring_cap_.size();
+  std::vector<std::int32_t> wheel_bits(links, 0);
+  for (const Shard& sh : shards_) {
+    for (Cycle b = 0; b <= wheel_mask_; ++b) {
+      const std::uint64_t* bucket =
+          sh.wheel.data() + static_cast<std::size_t>(b) * wheel_stride_;
+      for (std::size_t w = 0; w + wheel_sum_words_ < wheel_stride_; ++w) {
+        const std::uint64_t word = bucket[wheel_sum_words_ + w];
+        if ((((bucket[w >> 6] >> (w & 63)) & 1) != 0) != (word != 0)) {
+          return false;
+        }
+        for (std::uint64_t m = word; m != 0; m &= m - 1) {
+          const std::size_t l = w * 64 + std::countr_zero(m);
+          if (l >= links || ring_count_[l] == 0 ||
+              (n_shards_ > 1 && link_owner_[l] != sh.index) ||
+              (ring_slab_[static_cast<std::size_t>(ring_offset_[l] +
+                                                   ring_head_[l])]
+                   .arrival & wheel_mask_) != b) {
+            return false;
+          }
+          ++wheel_bits[l];
+        }
+      }
+    }
   }
   std::int64_t inflight_packets = 0;
-  for (std::size_t l = 0; l < ring_cap_.size(); ++l) {
+  for (std::size_t l = 0; l < links; ++l) {
+    const auto r = static_cast<RouterId>(l / static_cast<std::size_t>(radix_));
+    const auto port =
+        static_cast<PortIndex>(l % static_cast<std::size_t>(radix_));
+    // Every flight a departure could take now is shorter than W.
+    if (link_delay_[l] + (fault_on_ ? health_.extra_latency(r, port) : 0) >
+        wheel_mask_) {
+      return false;
+    }
     inflight_packets += ring_count_[l];
     if (ring_count_[l] == 0) continue;
-    const auto owner = static_cast<std::size_t>(
-        n_shards_ == 1 ? 0 : link_owner_[l]);
-    ++nonempty[owner];
     // Fault overlay: nothing may remain in flight on a down link (purged at
     // the fault event, never re-entered by the allocator filter).
-    if (fault_on_ &&
-        !health_.link_up(
-            static_cast<RouterId>(l / static_cast<std::size_t>(radix_)),
-            static_cast<PortIndex>(l % static_cast<std::size_t>(radix_)))) {
-      return false;
-    }
+    if (fault_on_ && !health_.link_up(r, port)) return false;
     const LinkEvent& front =
         ring_slab_[static_cast<std::size_t>(ring_offset_[l] + ring_head_[l])];
-    if (front.arrival < now_) return false;
-    const std::uint64_t key =
-        link_key(front.arrival, static_cast<std::int32_t>(l));
-    if (!std::binary_search(keys[owner].begin(), keys[owner].end(), key)) {
-      return false;
-    }
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (nonempty[s] != shards_[s].link_heap.size()) return false;
-    if (!std::is_heap(shards_[s].link_heap.begin(),
-                      shards_[s].link_heap.end(),
-                      std::greater<std::uint64_t>{})) {
+    if (wheel_bits[l] != 1 || front.arrival < now_ ||
+        front.arrival - now_ > wheel_mask_) {
       return false;
     }
   }

@@ -30,41 +30,42 @@
 //
 // After warmup the steady-state step performs zero heap allocations: packets
 // come from a pooled free list, queues and scratch are preallocated, and the
-// event calendar reuses its buckets. `allocation_events()` exposes every
+// link timing wheel reuses its buckets. `allocation_events()` exposes every
 // growth event so tests can verify this.
 //
 // Active-set stepping: the per-cycle phases iterate only non-empty state.
 // Occupied queues are tracked as per-router bitmask words plus a router
 // summary mask (set in push_queue, cleared when a queue drains), so
 // route_and_allocate costs O(active queues) instead of
-// O(routers * radix * vcs); links with packets in flight live in a binary
-// min-heap keyed by (front arrival, link id), so deliver_arrivals costs
-// O(due links * log links) instead of a full link scan. Both structures are
-// exact mirrors of the dense state (debug_check_active_state() cross-checks
-// them against a brute-force scan) and preserve the dense scan's iteration
-// order — bit scans walk queues in ascending (port, vc) order and the heap
-// pops same-cycle arrivals in ascending link order — which keeps every RNG
-// draw site in the original sequence. Refactors of this file must keep the
-// 18 goldens in tests/test_engine_equivalence.cpp bit-exact (see
-// ARCHITECTURE.md, "Bit-exactness rule").
+// O(routers * radix * vcs); links with packets in flight sit on a timing
+// wheel — one link bitset (plus summary words) per cycle modulo W, the
+// ring's bit in the bucket of its front arrival — so deliver_arrivals costs
+// O(due links) instead of a full link scan. Both structures are exact
+// mirrors of the dense state (debug_check_active_state() cross-checks them
+// against a brute-force scan) and preserve the dense scan's iteration
+// order — bit scans walk queues in ascending (port, vc) order and due links
+// in ascending link order — which keeps every RNG draw site in the original
+// sequence. Refactors of this file must keep the 18 goldens in
+// tests/test_engine_equivalence.cpp bit-exact (see ARCHITECTURE.md,
+// "Bit-exactness rule").
 //
 // Sharded execution (engine.threads > 1): the router range is partitioned
 // into contiguous shards, one barrier-synced worker thread per shard (the
 // calling thread drives shard 0). Each shard owns its routers' queues,
 // credits, allocators, contention counters, its slice of the occupancy
-// bitmasks and due-link heap, a private RNG stream, a private traffic-model
-// instance restricted to the shard's terminals, and private metrics. State
-// that crosses a shard boundary — a packet departing onto a link whose
-// downstream router lives elsewhere, a credit return to an upstream shard, a
-// packet id going home to its allocating shard — travels through per-shard
-// outboxes (double-buffered by cycle parity) applied at the next cycle's
-// merge point in fixed (source shard, FIFO) order, so results are a pure
-// function of (params, seed, engine.threads). threads = 1 runs the exact
-// serial code path and stays bit-exact with the goldens; threads > 1 is
-// deterministic per shard count but intentionally NOT bit-exact across
-// shard counts (cross-shard credits land one cycle late, remote occupancy
-// probes read a cycle-start snapshot, and each shard draws from its own RNG
-// stream). See ARCHITECTURE.md, "Sharded execution".
+// bitmasks, a timing wheel over the links it owns, a private RNG stream, a
+// private traffic-model instance restricted to the shard's terminals, and
+// private metrics. State that crosses a shard boundary — a packet departing
+// onto a link whose downstream router lives elsewhere, a credit return to an
+// upstream shard, a packet id going home to its allocating shard — travels
+// through per-shard outboxes (double-buffered by cycle parity) applied at
+// the next cycle's merge point in fixed (source shard, FIFO) order, so
+// results are a pure function of (params, seed, engine.threads).
+// threads = 1 runs the exact serial code path and stays bit-exact with the
+// goldens; threads > 1 is deterministic per shard count but intentionally
+// NOT bit-exact across shard counts (cross-shard credits land one cycle
+// late, remote occupancy probes read a cycle-start snapshot, and each shard
+// draws from its own RNG stream). See ARCHITECTURE.md, "Sharded execution".
 #pragma once
 
 #include <array>
@@ -256,8 +257,8 @@ class Simulator : private routing::EngineProbe {
     return profiler_;
   }
 
-  /// Growth/allocation events since construction (pool growth, calendar,
-  /// log, or outbox growth). Constant across steps == steady state
+  /// Growth/allocation events since construction (pool, delivery log,
+  /// trace-recording or outbox growth). Constant across steps == steady state
   /// allocates nothing.
   [[nodiscard]] std::int64_t allocation_events() const;
   /// Packet-pool heap growths alone (0 == the reserve bound held).
@@ -267,11 +268,11 @@ class Simulator : private routing::EngineProbe {
 
   /// Debug cross-check of the active-set structures against a brute-force
   /// scan of the dense state: every queue-occupancy bit matches q_size, the
-  /// router summary mask matches the queue bits, the due-link heap holds
-  /// exactly one well-formed entry per non-empty link ring, and the packet
-  /// pool population equals the packets sitting in queues plus rings (plus,
-  /// sharded, handoffs waiting in an outbox).
-  /// O(routers * radix * vcs) and may allocate — tests only, not hot path.
+  /// router summary mask matches the queue bits, each non-empty link ring
+  /// has exactly one timing-wheel bit, in its front arrival's bucket, and
+  /// the packet pool population equals the packets sitting in queues plus
+  /// rings (plus, sharded, handoffs waiting in an outbox).
+  /// O(routers * radix * vcs + W * links) and may allocate — tests only.
   [[nodiscard]] bool debug_check_active_state() const;
 
   /// Test hook: staggers worker-thread start by `us * shard_index`
@@ -285,11 +286,6 @@ class Simulator : private routing::EngineProbe {
     std::int32_t packet = kInvalidPacket;
     std::int32_t down_queue = -1;
   };
-
-  /// Link-id field width in the due-link heap key; the remaining 40 high
-  /// bits carry the arrival cycle (bounds: < 2^24 links, < 2^40 cycles —
-  /// both orders of magnitude past paper scale and any practical run).
-  static constexpr int kLinkBits = 24;
 
   /// Seed stride between shard RNG streams (routing and traffic). Shard 0
   /// uses the raw seed, so the serial stream is the threads = 1 stream.
@@ -335,8 +331,8 @@ class Simulator : private routing::EngineProbe {
     AllocRequestBatch request_batch;  // per-router sparse requests (reused)
     // Router summary mask slice: bit (r - r_lo) of word (r - r_lo) / 64.
     std::vector<std::uint64_t> router_active;
-    // Due-link min-heap over links this shard owns (downstream side).
-    std::vector<std::uint64_t> link_heap;
+    // Link timing wheel over the rings this shard owns (see wheel_mask_).
+    std::vector<std::uint64_t> wheel;
     std::vector<Delivery> deliveries;
     std::int64_t log_growth = 0;
     // Sharded packet-id accounting: ids from [base[i], base[i+1]) are
@@ -361,7 +357,7 @@ class Simulator : private routing::EngineProbe {
   /// barrier.
   void advance_faults_serial();
   /// Drops in-flight packets on this shard's newly-dead links (credits
-  /// returned, counted as dropped) and rebuilds the shard's due-link heap.
+  /// returned, counted as dropped) and clears the purged rings' wheel bits.
   void purge_faulted_rings(Shard& sh);
 
   // --- per-cycle phases
@@ -381,18 +377,14 @@ class Simulator : private routing::EngineProbe {
   std::int32_t pop_queue(Shard& sh, std::int32_t q);
   void on_new_head(Shard& sh, std::int32_t q);
 
-  // --- active-set maintenance (queue occupancy bits + due-link heap)
+  // --- active-set maintenance (queue occupancy bits + link timing wheel)
   void activate_queue(Shard& sh, std::int32_t q);
   void deactivate_queue(Shard& sh, std::int32_t q);
-  [[nodiscard]] static std::uint64_t link_key(Cycle arrival,
-                                              std::int32_t link) {
-    return (static_cast<std::uint64_t>(arrival) << kLinkBits) |
-           static_cast<std::uint64_t>(link);
-  }
-  void link_heap_push(Shard& sh, std::uint64_t key);
-  std::uint64_t link_heap_pop(Shard& sh);
-  /// Appends `ev` to link `flat`'s in-flight ring, registering the ring in
-  /// the shard's due-link heap when it goes non-empty.
+  /// Sets (`arm`) or clears link `l`'s bit in the wheel bucket of `arrival`,
+  /// keeping that bucket's summary bit equal to (link word != 0).
+  void wheel_mark(Shard& sh, std::size_t l, Cycle arrival, bool arm);
+  /// Appends `ev` to link `flat`'s in-flight ring, arming the ring's wheel
+  /// bit when it goes non-empty.
   void ring_insert(Shard& sh, std::int32_t flat, const LinkEvent& ev);
 
   // --- sharded execution
@@ -539,6 +531,13 @@ class Simulator : private routing::EngineProbe {
   std::vector<std::int32_t> ring_cap_;
   std::vector<std::int32_t> ring_head_;
   std::vector<std::int32_t> ring_count_;
+  // Timing-wheel shape (Shard::wheel), fixed at construction: W =
+  // bit_ceil(longest flight + 1) buckets, so every front arrival lies in
+  // [now, now + W). Bucket t & wheel_mask_ is wheel_stride_ words: summary
+  // words (bit w set iff link word w is non-zero), then one bit per link.
+  Cycle wheel_mask_ = 0;  // W - 1
+  std::size_t wheel_sum_words_ = 0;
+  std::size_t wheel_stride_ = 0;
 
   // --- sharded execution (n_shards_ == 1: shards_[0] spans everything and
   // the tables below stay empty)

@@ -1,10 +1,12 @@
 #include "telemetry/packet_trace.hpp"
 
 #include <array>
-#include <cstring>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
 #include <string>
+
+#include "traffic/trace.hpp"
 
 namespace dfsim::telemetry {
 
@@ -42,7 +44,6 @@ void PacketTracer::configure(const TraceParams& params, std::uint64_t run_seed,
 
 namespace {
 
-constexpr char kMagic[8] = {'D', 'F', 'T', 'R', 'A', 'C', 'E', '1'};
 constexpr std::size_t kRecordBytes = 24;
 
 void put_u64(unsigned char* out, std::uint64_t v) {
@@ -66,7 +67,7 @@ std::uint32_t get_u32(const unsigned char* in) {
 
 void write_trace_binary(const std::vector<TraceEvent>& events,
                         std::int64_t dropped, std::ostream& os) {
-  os.write(kMagic, sizeof(kMagic));
+  os.write(kPacketTraceMagic.data(), kPacketTraceMagic.size());
   std::array<unsigned char, 16> header{};
   put_u64(header.data(), static_cast<std::uint64_t>(events.size()));
   put_u64(header.data() + 8, static_cast<std::uint64_t>(dropped));
@@ -85,16 +86,20 @@ void write_trace_binary(const std::vector<TraceEvent>& events,
   }
 }
 
-bool read_trace_binary(std::istream& is, std::vector<TraceEvent>& events,
+void read_trace_binary(std::istream& is, std::vector<TraceEvent>& events,
                        std::int64_t& dropped) {
-  char magic[8];
+  char magic[8] = {};
   if (!is.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return false;
+      std::string_view(magic, 8) != kPacketTraceMagic) {
+    throw std::runtime_error(
+        std::string_view(magic, 8) == kTrafficTraceMagic
+            ? "packet trace: got a traffic trace (DFTRACE1), expected a "
+              "packet-event trace (DFPKTEV1)"
+            : "packet trace: bad magic (expected DFPKTEV1)");
   }
   std::array<unsigned char, 16> header{};
   if (!is.read(reinterpret_cast<char*>(header.data()), header.size())) {
-    return false;
+    throw std::runtime_error("packet trace: truncated header");
   }
   const std::uint64_t count = get_u64(header.data());
   std::vector<TraceEvent> parsed;
@@ -102,7 +107,7 @@ bool read_trace_binary(std::istream& is, std::vector<TraceEvent>& events,
   std::array<unsigned char, kRecordBytes> rec{};
   for (std::uint64_t i = 0; i < count; ++i) {
     if (!is.read(reinterpret_cast<char*>(rec.data()), rec.size())) {
-      return false;
+      throw std::runtime_error("packet trace: truncated records");
     }
     TraceEvent ev;
     ev.cycle = static_cast<std::int64_t>(get_u64(rec.data()));
@@ -117,7 +122,6 @@ bool read_trace_binary(std::istream& is, std::vector<TraceEvent>& events,
   }
   events = std::move(parsed);
   dropped = static_cast<std::int64_t>(get_u64(header.data() + 8));
-  return true;
 }
 
 // --- Chrome trace-event JSON -----------------------------------------------

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string_view>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -127,16 +128,18 @@ class PacketTracer {
 
 // --- export / import -------------------------------------------------------
 
-/// Compact binary format: "DFTRACE1" magic, little-endian u64 count +
+inline constexpr std::string_view kPacketTraceMagic = "DFPKTEV1";
+
+/// Compact binary format: kPacketTraceMagic, little-endian u64 count +
 /// i64 dropped, then 24 bytes per event.
 void write_trace_binary(const std::vector<TraceEvent>& events,
                         std::int64_t dropped, std::ostream& os);
 
-/// Round-trip reader for write_trace_binary; returns false (leaving the
-/// outputs untouched) on a malformed stream.
-[[nodiscard]] bool read_trace_binary(std::istream& is,
-                                     std::vector<TraceEvent>& events,
-                                     std::int64_t& dropped);
+/// Round-trip reader for write_trace_binary; throws std::runtime_error
+/// (outputs untouched) on a malformed stream, naming both formats when
+/// handed a traffic trace (kTrafficTraceMagic, traffic/trace.hpp).
+void read_trace_binary(std::istream& is, std::vector<TraceEvent>& events,
+                       std::int64_t& dropped);
 
 /// Chrome trace-event JSON ({"traceEvents": [...]}), loadable in Perfetto or
 /// chrome://tracing: one async "b"/"e" span per packet (id = trace id,

@@ -1,23 +1,18 @@
 #include "traffic/trace.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 
+#include "telemetry/packet_trace.hpp"
+
 namespace dfsim {
-
-namespace {
-
-constexpr char kMagic[8] = {'D', 'F', 'T', 'R', 'A', 'C', 'E', '1'};
-
-}  // namespace
 
 void write_trace(const std::string& path,
                  const std::vector<TraceRecord>& records) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("trace: cannot open for write: " + path);
-  out.write(kMagic, sizeof(kMagic));
+  out.write(kTrafficTraceMagic.data(), kTrafficTraceMagic.size());
   const std::uint64_t count = records.size();
   out.write(reinterpret_cast<const char*>(&count), sizeof(count));
   if (count > 0) {
@@ -35,10 +30,14 @@ namespace {
 std::uint64_t read_and_check_header(std::ifstream& in,
                                     const std::string& path) {
   if (!in) throw std::runtime_error("trace: cannot open: " + path);
-  char magic[8];
+  char magic[8] = {};
   in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("trace: bad magic in " + path);
+  if (!in || std::string_view(magic, 8) != kTrafficTraceMagic) {
+    throw std::runtime_error(
+        std::string_view(magic, 8) == telemetry::kPacketTraceMagic
+            ? "trace: " + path + " is a packet-event trace (DFPKTEV1), " +
+                  "not a traffic trace (DFTRACE1)"
+            : "trace: bad magic in " + path);
   }
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));

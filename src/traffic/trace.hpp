@@ -2,7 +2,7 @@
 // run and replayed deterministically by TrafficModel (TrafficKind::kTrace).
 //
 // File format (native little-endian):
-//   8 bytes   magic "DFTRACE1"
+//   8 bytes   magic "DFTRACE1" (kTrafficTraceMagic)
 //   u64       record count
 //   count x { i64 cycle, i32 src, i32 dst }   (16 bytes per record)
 // Cycles are relative to the start of recording; records are sorted by cycle
@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dfsim {
@@ -22,9 +23,12 @@ struct TraceRecord {
 };
 static_assert(sizeof(TraceRecord) == 16, "trace records are written raw");
 
+inline constexpr std::string_view kTrafficTraceMagic = "DFTRACE1";
+
 void write_trace(const std::string& path,
                  const std::vector<TraceRecord>& records);
-/// Throws std::runtime_error on missing/garbled files.
+/// Throws std::runtime_error on missing/garbled files, naming both formats
+/// when handed a packet-event trace (telemetry/packet_trace.hpp).
 [[nodiscard]] std::vector<TraceRecord> read_trace(const std::string& path);
 /// Header-only validation (magic + record count vs file size); returns the
 /// record count. Same errors as read_trace without reading the records —

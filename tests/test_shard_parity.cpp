@@ -17,8 +17,8 @@
 //     throughput lands within a seed-variation band. Hard invariants
 //     (packet conservation, zero dead-link traversals) hold exactly.
 // (4) Structural invariants: debug_check_active_state() after a sharded run
-//     — per-shard summary masks and due-link heaps, pool accounting across
-//     shard-id ranges, lifetime conservation.
+//     — per-shard summary masks and link timing wheels, pool accounting
+//     across shard-id ranges, lifetime conservation.
 #include <cassert>
 #include <cmath>
 #include <cstdio>

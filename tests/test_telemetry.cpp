@@ -1,13 +1,17 @@
 // Observability-layer tests: zero-overhead identity (telemetry/tracing/
 // profiling compiled in but enabled must not change a single result bit),
 // zero allocation after warmup with the sink live, deterministic trace
-// sampling with binary and Chrome-JSON round-trips, heatmap counter
+// sampling with binary and Chrome-JSON round-trips (a traffic trace handed
+// to the packet-trace reader is rejected by name), heatmap counter
 // conservation against the engine's lifetime totals, and config-hash gating
 // of the telemetry.* / trace.* blocks.
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "telemetry/heatmap.hpp"
 #include "telemetry/packet_trace.hpp"
 #include "telemetry/telemetry_sink.hpp"
+#include "traffic/trace.hpp"
 
 namespace {
 
@@ -194,7 +199,8 @@ void test_trace_roundtrip_and_determinism() {
   telemetry::write_trace_binary(events, 7, bin);
   std::vector<telemetry::TraceEvent> decoded;
   std::int64_t dropped = 0;
-  assert(telemetry::read_trace_binary(bin, decoded, dropped));
+  assert(bin.str().compare(0, 8, "DFPKTEV1") == 0);
+  telemetry::read_trace_binary(bin, decoded, dropped);
   assert(dropped == 7);
   assert(decoded.size() == events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -206,10 +212,32 @@ void test_trace_roundtrip_and_determinism() {
     assert(decoded[i].aux == events[i].aux);
   }
 
-  // Truncated stream must be rejected, not half-parsed.
+  // A truncated stream must be rejected, not half-parsed, and a traffic
+  // trace (the other binary format) must be rejected by name.
+  const auto read_error = [&](std::istream& is) -> std::string {
+    std::vector<telemetry::TraceEvent> out;
+    std::int64_t out_dropped = 0;
+    try {
+      telemetry::read_trace_binary(is, out, out_dropped);
+    } catch (const std::runtime_error& e) {
+      assert(out.empty());
+      return e.what();
+    }
+    return "";
+  };
   const std::string full = bin.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
-  assert(!telemetry::read_trace_binary(truncated, decoded, dropped));
+  assert(read_error(truncated).find("truncated") != std::string::npos);
+  {
+    const std::string path = "dfsim_test_telemetry_traffic_trace.bin";
+    write_trace(path, {{0, 1, 2}, {3, 4, 5}});
+    std::ifstream traffic(path, std::ios::binary);
+    const std::string err = read_error(traffic);
+    std::cerr << "traffic trace -> packet reader: " << err << "\n";
+    assert(err.find("DFTRACE1") != std::string::npos);
+    assert(err.find("DFPKTEV1") != std::string::npos);
+    std::remove(path.c_str());
+  }
 
   // Chrome trace-event export: valid JSON, one traceEvents entry per event,
   // every lifecycle begin paired or still open (never closed twice).

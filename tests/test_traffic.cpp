@@ -2,16 +2,21 @@
 // over terminals (including awkward non-square / non-power-of-two node
 // counts), hotspot empirical frequencies match the configured skew, the
 // bursty on/off process hits the offered load in the long run, traces
-// round-trip through the binary format, and a recorded dragonfly run
+// round-trip through the binary format (keeping the DFTRACE1 magic, and
+// rejecting a packet-event trace by name), and a recorded dragonfly run
 // replays to bit-identical delivered counts and latency.
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "engine/simulator.hpp"
 #include "traffic/model.hpp"
+#include "telemetry/packet_trace.hpp"
 #include "traffic/trace.hpp"
 
 namespace {
@@ -181,6 +186,39 @@ int main() {
       assert(back[i].cycle == records[i].cycle);
       assert(back[i].src == records[i].src);
       assert(back[i].dst == records[i].dst);
+    }
+    // The magic stays DFTRACE1, so traffic traces recorded by earlier
+    // builds still replay.
+    std::ifstream raw(path, std::ios::binary);
+    std::string magic(8, '\0');
+    raw.read(magic.data(), 8);
+    assert(magic == "DFTRACE1");
+    std::remove(path.c_str());
+  }
+
+  // A packet-event trace (the other binary format) is rejected by name,
+  // both by the replay reader and by the up-front validation.
+  {
+    const std::string path = "dfsim_test_packet_trace.bin";
+    {
+      std::ofstream out(path, std::ios::binary);
+      telemetry::write_trace_binary({}, 0, out);
+    }
+    for (const bool validate_only : {false, true}) {
+      std::string err;
+      try {
+        if (validate_only) {
+          (void)validate_trace(path);
+        } else {
+          (void)read_trace(path);
+        }
+      } catch (const std::runtime_error& e) {
+        err = e.what();
+      }
+      std::fprintf(stderr, "packet trace -> traffic reader: %s\n",
+                   err.c_str());
+      assert(err.find("DFPKTEV1") != std::string::npos);
+      assert(err.find("DFTRACE1") != std::string::npos);
     }
     std::remove(path.c_str());
   }

@@ -451,8 +451,8 @@ int cmd_observe(const CliOptions& cli) {
     std::istringstream check(bin.str());
     std::vector<telemetry::TraceEvent> decoded;
     std::int64_t dropped = 0;
-    if (!telemetry::read_trace_binary(check, decoded, dropped) ||
-        decoded.size() != tracer.events().size()) {
+    telemetry::read_trace_binary(check, decoded, dropped);  // throws
+    if (decoded.size() != tracer.events().size()) {
       throw std::runtime_error("observe: binary trace failed round-trip");
     }
   }

@@ -36,6 +36,15 @@ Simulator::Simulator(const SimParams& params,
   if (params_.engine.threads < 1) {
     throw std::invalid_argument("engine.threads must be >= 1");
   }
+  // A class with no VC would make vc_for() return VC -1.
+  for (const auto& [key, vcs] :
+       {std::pair{"router.vcs_local", params_.router.vcs_local},
+        std::pair{"router.vcs_global", params_.router.vcs_global},
+        std::pair{"router.vcs_injection", params_.router.vcs_injection}}) {
+    if (vcs < 1) {
+      throw std::invalid_argument(std::string(key) + " must be >= 1");
+    }
+  }
   // More shards than routers would leave some empty; clamp instead.
   n_shards_ = std::min(params_.engine.threads, topo_.routers());
   if (n_shards_ > 1) {
@@ -269,9 +278,15 @@ void Simulator::build_shards() {
         static_cast<std::size_t>((r_hi - r_lo + 63) / 64), 0);
     sh.wheel.assign(static_cast<std::size_t>(wheel_mask_ + 1) * wheel_stride_,
                     0);
+    // The merge walks the mailboxes at every shard count; only sharded runs
+    // send, so only they reserve (below).
+    for (std::vector<Mailbox>& boxes : sh.outbox) {
+      boxes.resize(static_cast<std::size_t>(n_shards_));
+    }
     shards_.push_back(std::move(sh));
   }
 
+  barrier_ = std::make_unique<SpinBarrier>(n_shards_);
   if (n_shards_ == 1) return;
 
   // Ownership tables, derived from the wiring rather than topology
@@ -333,13 +348,13 @@ void Simulator::build_shards() {
     const std::int32_t hi = shard_id_base_[static_cast<std::size_t>(i) + 1];
     sh.free_ids.reserve(static_cast<std::size_t>(hi - lo));
     for (std::int32_t id = hi - 1; id >= lo; --id) sh.free_ids.push_back(id);
+    // Reserving these at one shard too, after the per-queue arrays, raised
+    // registry_medium peak RSS ~13% through heap placement alone.
     for (std::vector<Mailbox>& boxes : sh.outbox) {
-      boxes.resize(static_cast<std::size_t>(n_shards_));
       for (Mailbox& box : boxes) box.msgs.reserve(64);
     }
   }
 
-  barrier_ = std::make_unique<SpinBarrier>(n_shards_);
   workers_.reserve(static_cast<std::size_t>(n_shards_) - 1);
   for (std::int32_t i = 1; i < n_shards_; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -391,36 +406,36 @@ void Simulator::push_queue(Shard& sh, std::int32_t q, std::int32_t packet) {
   }
 }
 
-std::int32_t Simulator::pop_queue(Shard& sh, std::int32_t q) {
+std::int32_t Simulator::pop_queue(Shard& sh, std::int32_t q,
+                                  std::int32_t port) {
   const auto qi = static_cast<std::size_t>(q);
   assert(q_size_[qi] > 0);
+  assert(port == q / vmax_);
   const std::int32_t packet =
       slab_[static_cast<std::size_t>(q_offset_[qi] + q_head_[qi])];
   q_head_[qi] = (q_head_[qi] + 1) % q_cap_[qi];
   --q_size_[qi];
-  if (n_shards_ == 1) {
-    ++q_free_[qi];
-  } else {
-    // The credit belongs to the upstream shard; return it through the
-    // inbox when that is someone else (applied at their next merge — the
-    // one-cycle credit delay documented in ARCHITECTURE.md).
-    const std::int32_t owner = credit_owner_[static_cast<std::size_t>(
-        q / vmax_)];
-    if (owner == sh.index) {
-      ++q_free_[qi];
-    } else {
-      ShardMessage m;
-      m.kind = ShardMessage::Kind::kCredit;
-      m.queue = q;
-      push_msg(sh, owner, m);
-    }
-  }
+  return_credit(sh, q, port);
   if (q_size_[qi] > 0) {
     on_new_head(sh, q);
   } else {
     deactivate_queue(sh, q);
   }
   return packet;
+}
+
+void Simulator::return_credit(Shard& sh, std::int32_t q, std::int32_t port) {
+  // The credit belongs to the upstream shard; a remote owner gets it through
+  // its inbox at its next merge (the one-cycle credit delay documented in
+  // ARCHITECTURE.md).
+  if (owns_credit(sh, port)) {
+    ++q_free_[static_cast<std::size_t>(q)];
+    return;
+  }
+  ShardMessage m;
+  m.kind = ShardMessage::Kind::kCredit;
+  m.queue = q;
+  push_msg(sh, credit_owner_[static_cast<std::size_t>(port)], m);
 }
 
 void Simulator::on_new_head(Shard& sh, std::int32_t q) {
@@ -864,7 +879,7 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
   const std::int32_t q = queue_index(r, grant.in, grant.vc);
   const auto qi = static_cast<std::size_t>(q);
   const std::int16_t counted = q_counted_[qi];
-  const std::int32_t packet = pop_queue(sh, q);
+  const std::int32_t packet = pop_queue(sh, q, flat_port(r, grant.in));
   routing_->on_tail_departure(flat_port(r, counted));
 
   const PortIndex out = grant.out;
@@ -919,7 +934,7 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
   Cycle arrival = now_ + link_delay_[flat];
   if (fault_on_) arrival += health_.extra_latency(r, out);
   const auto lid = static_cast<std::int32_t>(flat);
-  if (n_shards_ == 1 || link_owner_[flat] == sh.index) {
+  if (owns_link(sh, flat)) {
     ring_insert(sh, lid, LinkEvent{arrival, packet, down});
   } else {
     // The ring belongs to the downstream shard: hand the traversal over
@@ -1012,8 +1027,7 @@ void Simulator::purge_faulted_rings(Shard& sh) {
   // at the next merge.
   for (const std::int32_t id : fault_.faulty_links()) {
     const auto l = static_cast<std::size_t>(id);
-    if (n_shards_ > 1 && link_owner_[l] != sh.index) continue;
-    if (ring_count_[l] == 0) continue;
+    if (!owns_link(sh, l) || ring_count_[l] == 0) continue;
     if (health_.link_up(id / radix_, id % radix_)) continue;
     // The ring's one wheel bit sits in its front's bucket.
     const LinkEvent& front = ring_slab_[static_cast<std::size_t>(
@@ -1022,20 +1036,7 @@ void Simulator::purge_faulted_rings(Shard& sh) {
     while (ring_count_[l] > 0) {
       const LinkEvent& ev = ring_slab_[static_cast<std::size_t>(
           ring_offset_[l] + ring_head_[l])];
-      if (n_shards_ == 1) {
-        ++q_free_[static_cast<std::size_t>(ev.down_queue)];
-      } else {
-        const std::int32_t owner = credit_owner_[static_cast<std::size_t>(
-            ev.down_queue / vmax_)];
-        if (owner == sh.index) {
-          ++q_free_[static_cast<std::size_t>(ev.down_queue)];
-        } else {
-          ShardMessage m;
-          m.kind = ShardMessage::Kind::kCredit;
-          m.queue = ev.down_queue;
-          push_msg(sh, owner, m);
-        }
-      }
+      return_credit(sh, ev.down_queue, ev.down_queue / vmax_);
       ++sh.metrics.dropped;
       ++sh.totals.dropped;
       if (telemetry_on_) sink_.count_drop();
@@ -1053,7 +1054,7 @@ void Simulator::purge_faulted_rings(Shard& sh) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded execution
+// Cycle loop and cross-shard messages
 
 void Simulator::push_msg(Shard& sh, std::int32_t dst,
                          const ShardMessage& msg) {
@@ -1134,9 +1135,10 @@ void Simulator::merge_inboxes(Shard& sh) {
   }
 }
 
-bool Simulator::mechanism_update_due() const {
-  return routing_->update_due(now_) ||
-         (ectn_monitor_enabled_ && monitor_update_due());
+void Simulator::schedule_cycle() {
+  fault_cycle_ = fault_on_ && now_ == fault_next_event_;
+  mech_cycle_ = routing_->update_due(now_) ||
+                (ectn_monitor_enabled_ && monitor_update_due());
 }
 
 bool Simulator::monitor_update_due() const {
@@ -1145,10 +1147,12 @@ bool Simulator::monitor_update_due() const {
   return period > 0 && now_ % period == 0;
 }
 
-void Simulator::cycle_parallel(Shard& sh) {
+void Simulator::cycle(Shard& sh) {
+  using telemetry::Phase;
+  if (profile_on_) sh.profiler.start_cycle();
   // Phase schedule for this cycle, published with now_ by the previous
-  // cycle's end-of-cycle completion (or by run_parallel for the first), so
-  // every shard executes the same barrier count.
+  // cycle's end-of-cycle completion (or by run() for the first), so every
+  // shard executes the same barrier count.
   const bool fault_cycle = fault_cycle_;
   const bool mech_cycle = mech_cycle_;
 
@@ -1162,33 +1166,52 @@ void Simulator::cycle_parallel(Shard& sh) {
   // sends go to the other parity, so no barrier is needed after the merge
   // — except to publish occ_snap_ to the snapshot probes.
   merge_inboxes(sh);
+  profile_lap(sh, Phase::kDeliver);
 
   if (fault_on_ && fault_cycle) {
     // The health map is global: one shard refreshes it while the rest wait.
     if (sh.index == 0) advance_faults_serial();
+    profile_lap(sh, Phase::kFaults);
     barrier_->arrive_and_wait();
+    profile_lap(sh, Phase::kBarrier);
     purge_faulted_rings(sh);
+    profile_lap(sh, Phase::kFaults);
   }
 
-  if (snap_on_) barrier_->arrive_and_wait();  // occ_snap_ published
+  if (snap_on_) {
+    barrier_->arrive_and_wait();  // occ_snap_ published
+    profile_lap(sh, Phase::kBarrier);
+  }
   deliver_arrivals(sh);
+  profile_lap(sh, Phase::kDeliver);
   inject_traffic(sh);
+  profile_lap(sh, Phase::kInject);
   if (mech_cycle) {
     // Mechanism update window: counters stop changing at the first barrier,
     // and no shard reads the refreshed state until the second.
     barrier_->arrive_and_wait();
+    profile_lap(sh, Phase::kBarrier);
     update_mechanism(sh);
+    profile_lap(sh, Phase::kEctn);
     barrier_->arrive_and_wait();
+    profile_lap(sh, Phase::kBarrier);
   }
   route_and_allocate(sh);
+  profile_lap(sh, Phase::kRoute);
+  // Telemetry runs with one shard only (constructor check), so the flush
+  // reads the whole network without a barrier.
+  if (telemetry_on_ && now_ == telemetry_next_sample_) {
+    flush_telemetry();
+    profile_lap(sh, Phase::kTelemetry);
+  }
 
   // Route done everywhere and this cycle's outboxes complete; the last
   // shard to arrive advances the clock and the schedule for everyone.
   barrier_->arrive_and_wait([this] {
     ++now_;
-    fault_cycle_ = fault_on_ && now_ == fault_next_event_;
-    mech_cycle_ = mechanism_update_due();
+    schedule_cycle();
   });
+  profile_lap(sh, Phase::kBarrier);
 }
 
 void Simulator::worker_loop(std::int32_t shard_index) {
@@ -1208,97 +1231,33 @@ void Simulator::worker_loop(std::int32_t shard_index) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(jitter * shard_index));
     }
-    for (Cycle i = 0; i < cycles; ++i) cycle_parallel(sh);
+    for (Cycle i = 0; i < cycles; ++i) cycle(sh);
     std::lock_guard<std::mutex> lock(mu_);
     if (++done_count_ == n_shards_ - 1) cv_.notify_all();
   }
 }
 
-void Simulator::run_parallel(Cycle cycles) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_cycles_ = cycles;
-    done_count_ = 0;
-    // Initial phase schedule; the end-of-cycle completion publishes the
-    // rest.
-    fault_cycle_ = fault_on_ && now_ == fault_next_event_;
-    mech_cycle_ = mechanism_update_due();
-    ++epoch_;
-  }
-  cv_.notify_all();
-  Shard& sh = shards_[0];
-  for (Cycle i = 0; i < cycles; ++i) cycle_parallel(sh);
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return done_count_ == n_shards_ - 1; });
-}
-
 // ---------------------------------------------------------------------------
 // Public driver
 
-void Simulator::step_serial() {
-  if (profile_on_) {
-    step_profiled();
-    return;
-  }
-  Shard& sh = shards_[0];
-  if (fault_on_ && now_ == fault_next_event_) {
-    advance_faults_serial();
-    purge_faulted_rings(sh);
-  }
-  deliver_arrivals(sh);
-  inject_traffic(sh);
-  update_mechanism(sh);
-  route_and_allocate(sh);
-  if (telemetry_on_ && now_ == telemetry_next_sample_) flush_telemetry();
-  ++now_;
-}
-
-void Simulator::step() {
-  if (n_shards_ > 1) {
-    run_parallel(1);
-    return;
-  }
-  step_serial();
-}
-
 void Simulator::run(Cycle cycles) {
   if (cycles <= 0) return;
-  if (n_shards_ > 1) {
-    run_parallel(cycles);
-    return;
+  schedule_cycle();  // the first cycle's; each completion sets the next
+  if (!workers_.empty()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      pending_cycles_ = cycles;
+      done_count_ = 0;
+      ++epoch_;
+    }
+    cv_.notify_all();
   }
-  for (Cycle i = 0; i < cycles; ++i) step_serial();
-}
-
-void Simulator::step_profiled() {
-  // Same phase sequence as step_serial(), with steady_clock stamps between
-  // phases. Timing never feeds back into simulation state, so a profiled
-  // run stays bit-exact with an unprofiled one. Serial engine only.
   Shard& sh = shards_[0];
-  using Clock = telemetry::PhaseProfiler::Clock;
-  const Clock::time_point t0 = Clock::now();
-  if (fault_on_ && now_ == fault_next_event_) {
-    advance_faults_serial();
-    purge_faulted_rings(sh);
+  for (Cycle i = 0; i < cycles; ++i) cycle(sh);
+  if (!workers_.empty()) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return done_count_ == n_shards_ - 1; });
   }
-  const Clock::time_point t1 = Clock::now();
-  profiler_.add(telemetry::Phase::kFaults, t0, t1);
-  deliver_arrivals(sh);
-  const Clock::time_point t2 = Clock::now();
-  profiler_.add(telemetry::Phase::kDeliver, t1, t2);
-  inject_traffic(sh);
-  const Clock::time_point t3 = Clock::now();
-  profiler_.add(telemetry::Phase::kInject, t2, t3);
-  update_mechanism(sh);
-  const Clock::time_point t4 = Clock::now();
-  profiler_.add(telemetry::Phase::kEctn, t3, t4);
-  route_and_allocate(sh);
-  const Clock::time_point t5 = Clock::now();
-  profiler_.add(telemetry::Phase::kRoute, t4, t5);
-  if (telemetry_on_ && now_ == telemetry_next_sample_) flush_telemetry();
-  profiler_.add(telemetry::Phase::kTelemetry, t5, Clock::now());
-  profiler_.add_cycle();
-  ++now_;
 }
 
 void Simulator::flush_telemetry() {
@@ -1356,6 +1315,13 @@ const Simulator::Metrics& Simulator::metrics() const {
     merged_metrics_.latency_hist.merge(m.latency_hist);
   }
   return merged_metrics_;
+}
+
+const telemetry::PhaseProfiler& Simulator::phase_profiler() const {
+  if (n_shards_ == 1) return shards_[0].profiler;
+  merged_profiler_.reset();
+  for (const Shard& sh : shards_) merged_profiler_.merge(sh.profiler);
+  return merged_profiler_;
 }
 
 const Simulator::Totals& Simulator::lifetime_totals() const {
@@ -1515,7 +1481,7 @@ bool Simulator::debug_check_active_state() const {
         for (std::uint64_t m = word; m != 0; m &= m - 1) {
           const std::size_t l = w * 64 + std::countr_zero(m);
           if (l >= links || ring_count_[l] == 0 ||
-              (n_shards_ > 1 && link_owner_[l] != sh.index) ||
+              !owns_link(sh, l) ||
               (ring_slab_[static_cast<std::size_t>(ring_offset_[l] +
                                                    ring_head_[l])]
                    .arrival & wheel_mask_) != b) {
@@ -1562,16 +1528,9 @@ bool Simulator::debug_check_active_state() const {
       }
     }
   }
-  if (n_shards_ == 1) {
-    if (pool_.in_use() !=
-        static_cast<std::size_t>(queued_packets + inflight_packets)) {
-      return false;
-    }
-  } else {
-    if (packets_in_network() !=
-        queued_packets + inflight_packets + pending_sends) {
-      return false;
-    }
+  if (packets_in_network() !=
+      queued_packets + inflight_packets + pending_sends) {
+    return false;
   }
 
   // (4) Lifetime packet conservation, drops included.

@@ -60,8 +60,9 @@
 // upstream shard, a packet id going home to its allocating shard — travels
 // through per-shard outboxes (double-buffered by cycle parity) applied at
 // the next cycle's merge point in fixed (source shard, FIFO) order, so
-// results are a pure function of (params, seed, engine.threads).
-// threads = 1 runs the exact serial code path and stays bit-exact with the
+// results are a pure function of (params, seed, engine.threads). Every
+// shard count runs the same cycle(): threads = 1 is shard 0 alone behind a
+// one-party barrier, sends no messages, and stays bit-exact with the
 // goldens; threads > 1 is deterministic per shard count but intentionally
 // NOT bit-exact across shard counts (cross-shard credits land one cycle
 // late, remote occupancy probes read a cycle-start snapshot, and each shard
@@ -145,7 +146,7 @@ class Simulator : private routing::EngineProbe {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  void step();
+  void step() { run(1); }
   void run(Cycle cycles);
 
   [[nodiscard]] Cycle now() const { return now_; }
@@ -242,20 +243,17 @@ class Simulator : private routing::EngineProbe {
     return tracer_;
   }
 
-  /// Per-phase wall-time profiling (dfsim_run perf --phases). API-enabled
-  /// like the ECtN monitor: wall time never affects results, so there is no
-  /// config key and the config hash is untouched. Serial engine only.
+  /// Per-phase wall-time profiling (dfsim_run perf --phases), barrier wait
+  /// included; (re)starts every shard's profiler from zero. API-enabled like
+  /// the ECtN monitor: wall time never affects results, so there is no
+  /// config key and the config hash is untouched.
   void enable_phase_profiler() {
-    if (n_shards_ > 1) {
-      throw std::invalid_argument(
-          "phase profiler requires engine.threads = 1");
-    }
     profile_on_ = true;
-    profiler_.reset();
+    for (Shard& sh : shards_) sh.profiler.reset();
   }
-  [[nodiscard]] const telemetry::PhaseProfiler& phase_profiler() const {
-    return profiler_;
-  }
+  /// Phase times summed over the shards (merged on each call, like
+  /// metrics()); cycles() is the number of cycles run.
+  [[nodiscard]] const telemetry::PhaseProfiler& phase_profiler() const;
 
   /// Growth/allocation events since construction (pool, delivery log,
   /// trace-recording or outbox growth). Constant across steps == steady state
@@ -315,9 +313,9 @@ class Simulator : private routing::EngineProbe {
 
   /// One worker shard: a contiguous router range [r_lo, r_hi) plus every
   /// piece of per-cycle mutable state that only that range's owner may
-  /// touch. With threads = 1, shard 0 spans everything and the serial step
-  /// runs against it unchanged (bit-exactness anchor). Cache-line aligned
-  /// so neighboring shards never share a line through this struct.
+  /// touch. With threads = 1, shard 0 spans everything and draws the serial
+  /// RNG streams (bit-exactness anchor). Cache-line aligned so neighboring
+  /// shards never share a line through this struct.
   struct alignas(64) Shard {
     std::int32_t index = 0;
     RouterId r_lo = 0;
@@ -328,6 +326,7 @@ class Simulator : private routing::EngineProbe {
     std::unique_ptr<TrafficModel> traffic;  // restricted to [n_lo, n_hi)
     Metrics metrics;
     Totals totals;
+    telemetry::PhaseProfiler profiler;  // stamped only while profile_on_
     AllocRequestBatch request_batch;  // per-router sparse requests (reused)
     // Router summary mask slice: bit (r - r_lo) of word (r - r_lo) / 64.
     std::vector<std::uint64_t> router_active;
@@ -374,7 +373,12 @@ class Simulator : private routing::EngineProbe {
     return (r * radix_ + in_port) * vmax_ + vc;
   }
   void push_queue(Shard& sh, std::int32_t q, std::int32_t packet);
-  std::int32_t pop_queue(Shard& sh, std::int32_t q);
+  /// Pops the head of queue `q` on flat input port `port` (r * radix + ip)
+  /// and returns its credit upstream.
+  std::int32_t pop_queue(Shard& sh, std::int32_t q, std::int32_t port);
+  /// One freed slot of queue `q` (flat input port `port`) goes back to the
+  /// credit counter's owner: in place, or through the owner's inbox.
+  void return_credit(Shard& sh, std::int32_t q, std::int32_t port);
   void on_new_head(Shard& sh, std::int32_t q);
 
   // --- active-set maintenance (queue occupancy bits + link timing wheel)
@@ -387,25 +391,35 @@ class Simulator : private routing::EngineProbe {
   /// bit when it goes non-empty.
   void ring_insert(Shard& sh, std::int32_t flat, const LinkEvent& ev);
 
-  // --- sharded execution
+  // --- cycle loop (every shard count; threads = 1 is shard 0 alone)
   void worker_loop(std::int32_t shard_index);
-  void run_parallel(Cycle cycles);
   /// One cycle of shard `sh`, barrier-aligned with every other shard.
-  void cycle_parallel(Shard& sh);
+  void cycle(Shard& sh);
+  /// Sets the next cycle's phase schedule (fault_cycle_, mech_cycle_) from
+  /// now_: a pure function of shared immutable config plus now_, so every
+  /// shard agrees on the barrier schedule.
+  void schedule_cycle();
   /// Applies every message addressed to `sh` (source shards in ascending
   /// order, FIFO within each), then refreshes this shard's slice of the
   /// remote-occupancy snapshot.
   void merge_inboxes(Shard& sh);
   void push_msg(Shard& sh, std::int32_t dst, const ShardMessage& msg);
-  /// Pool front-end: the serial engine uses the growable pool free list;
-  /// sharded engines draw from the shard's private id range (-1 when the
-  /// range is exhausted — the injection is then refused deterministically).
+  /// Pool front-end: one shard uses the growable pool free list; several
+  /// shards draw from private id ranges (-1 when the range is exhausted —
+  /// the injection is then refused deterministically). The ranges size the
+  /// pool to its structural bound up front, which one shard need not pay.
   [[nodiscard]] std::int32_t allocate_packet(Shard& sh);
   void release_packet(Shard& sh, std::int32_t packet);
-  /// True when the coming cycle is a mechanism (or monitor) update cycle;
-  /// pure function of shared immutable config plus now_, so every shard
-  /// agrees on the barrier schedule.
-  [[nodiscard]] bool mechanism_update_due() const;
+  /// Ownership tests: the credit counters of flat input port `port`, and
+  /// the in-flight ring of flat link `flat`. With one shard every test is
+  /// true and no ownership table is built or read.
+  [[nodiscard]] bool owns_credit(const Shard& sh, std::int32_t port) const {
+    return n_shards_ == 1 ||
+           credit_owner_[static_cast<std::size_t>(port)] == sh.index;
+  }
+  [[nodiscard]] bool owns_link(const Shard& sh, std::size_t flat) const {
+    return n_shards_ == 1 || link_owner_[flat] == sh.index;
+  }
   /// The ECtN overhead monitor's own schedule (API-enabled, serial only).
   [[nodiscard]] bool monitor_update_due() const;
 
@@ -416,10 +430,11 @@ class Simulator : private routing::EngineProbe {
   /// Gauge scan (queue occupancy, counter values, down links) + frame
   /// commit at the end of a sample period. Cold path, off the inner loops.
   void flush_telemetry();
-  /// step() body with steady_clock stamps around each phase.
-  void step_profiled();
-  /// Serial step: the exact pre-sharding cycle sequence against shard 0.
-  void step_serial();
+  /// Phase-profiler stamp: charges the time since this shard's previous
+  /// stamp to `phase`.
+  void profile_lap(Shard& sh, telemetry::Phase phase) {
+    if (profile_on_) sh.profiler.lap(phase);
+  }
   /// Misroute attribution shared by sink and tracer.
   void note_misroute(RouterId r, std::int32_t packet,
                      telemetry::MisrouteCause cause) {
@@ -539,8 +554,8 @@ class Simulator : private routing::EngineProbe {
   std::size_t wheel_sum_words_ = 0;
   std::size_t wheel_stride_ = 0;
 
-  // --- sharded execution (n_shards_ == 1: shards_[0] spans everything and
-  // the tables below stay empty)
+  // --- sharded execution (n_shards_ == 1: shards_[0] spans everything, the
+  // barrier has one party, and the tables below stay empty)
   std::int32_t n_shards_ = 1;
   std::vector<Shard> shards_;
   std::vector<std::int32_t> shard_of_router_;  // size routers
@@ -568,10 +583,10 @@ class Simulator : private routing::EngineProbe {
   std::int32_t done_count_ = 0;    // workers finished this dispatch
   Cycle pending_cycles_ = 0;
   bool stop_ = false;
-  // Next-cycle phase schedule, written with ++now_ by the end-of-cycle
-  // barrier's completion (every shard is parked there) and read by every
-  // shard after it — keeps all shards' barrier counts aligned without
-  // racing on fault_next_event_.
+  // Next-cycle phase schedule, written by run() for a dispatch's first cycle
+  // and then with ++now_ by the end-of-cycle barrier's completion (every
+  // shard is parked there), read by every shard after it — keeps all
+  // shards' barrier counts aligned without racing on fault_next_event_.
   bool fault_cycle_ = false;
   bool mech_cycle_ = false;
   static std::atomic<std::int32_t> jitter_us_;
@@ -579,6 +594,7 @@ class Simulator : private routing::EngineProbe {
   mutable Metrics merged_metrics_;
   mutable Totals merged_totals_;
   mutable std::vector<Delivery> merged_deliveries_;
+  mutable telemetry::PhaseProfiler merged_profiler_;
 
   // --- routing mechanism (src/routing/factory.hpp picks the instance; the
   // capability flags are cached so disabled decision paths cost one
@@ -610,7 +626,6 @@ class Simulator : private routing::EngineProbe {
   Cycle telemetry_next_sample_ = 0;
   telemetry::TelemetrySink sink_;
   telemetry::PacketTracer tracer_;
-  telemetry::PhaseProfiler profiler_;
 
   // --- time & measurement
   Cycle now_ = 0;

@@ -1,26 +1,30 @@
-// Engine phase profiler: wall-time accounting per step() phase, driving
-// `dfsim_run perf --phases` and the BENCH_engine.json phase breakdown (the
-// sharding work's baseline: which phase actually burns the cycles).
+// Engine phase profiler: wall-time accounting per cycle phase, driving
+// `dfsim_run perf --phases` and the BENCH_engine.json phase breakdown (which
+// phase actually burns the cycles, and how long shards wait at barriers).
 //
 // API-enabled only (Simulator::enable_phase_profiler) — it measures wall
-// time, so it has no config key and never enters the config hash. When not
-// enabled the engine runs its unprofiled step() and takes zero timing calls.
+// time, so it has no config key and never enters the config hash. Each
+// shard owns one profiler and stamps a lap at every phase boundary of its
+// cycle; Simulator::phase_profiler() sums the shards. When not enabled the
+// engine takes zero timing calls.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 
 namespace dfsim::telemetry {
 
 enum class Phase : std::uint8_t {
-  kFaults = 0,     // advance_faults (fault schedule refresh)
-  kDeliver = 1,    // deliver_arrivals
+  kFaults = 0,     // fault schedule refresh + ring purge
+  kDeliver = 1,    // cross-shard merge + deliver_arrivals
   kInject = 2,     // inject_traffic
-  kEctn = 3,       // update_ectn (snapshot broadcast)
+  kEctn = 3,       // mechanism update window (ECtN snapshot, ARN scan)
   kRoute = 4,      // route_and_allocate
   kTelemetry = 5,  // telemetry flush (sink gauge scan + frame commit)
+  kBarrier = 6,    // waiting at shard barriers
 };
-inline constexpr std::int32_t kPhaseCount = 6;
+inline constexpr std::int32_t kPhaseCount = 7;
 
 [[nodiscard]] constexpr const char* to_string(Phase phase) {
   switch (phase) {
@@ -30,6 +34,7 @@ inline constexpr std::int32_t kPhaseCount = 6;
     case Phase::kEctn: return "ectn";
     case Phase::kRoute: return "route";
     case Phase::kTelemetry: return "telemetry";
+    case Phase::kBarrier: return "barrier";
   }
   return "unknown";
 }
@@ -43,12 +48,25 @@ class PhaseProfiler {
     cycles_ = 0;
   }
 
-  void add(Phase phase, Clock::time_point begin, Clock::time_point end) {
-    ns_[static_cast<std::size_t>(phase)] +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-            .count();
+  /// Opens a cycle: the next lap charges time from here.
+  void start_cycle() {
+    last_ = Clock::now();
+    ++cycles_;
   }
-  void add_cycle() { ++cycles_; }
+  /// Charges the time since the previous stamp to `phase`.
+  void lap(Phase phase) {
+    const Clock::time_point now = Clock::now();
+    ns_[static_cast<std::size_t>(phase)] +=
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - last_)
+            .count();
+    last_ = now;
+  }
+  /// Adds another shard's phase times. Every shard runs every cycle, so the
+  /// cycle count stays the number of cycles run.
+  void merge(const PhaseProfiler& other) {
+    for (std::int32_t i = 0; i < kPhaseCount; ++i) ns_[i] += other.ns_[i];
+    cycles_ = std::max(cycles_, other.cycles_);
+  }
 
   [[nodiscard]] std::int64_t cycles() const { return cycles_; }
   [[nodiscard]] std::int64_t nanoseconds(Phase phase) const {
@@ -66,6 +84,7 @@ class PhaseProfiler {
  private:
   std::int64_t ns_[kPhaseCount] = {};
   std::int64_t cycles_ = 0;
+  Clock::time_point last_;
 };
 
 }  // namespace dfsim::telemetry

@@ -16,6 +16,8 @@ FIXTURES = os.path.join(REPO, "tests", "lint_fixtures")
 CASES = {
     "bad_rng": ("CHK-RNG", "undeclared RNG draw site `rng.next_below`"),
     "bad_gate": ("CHK-GATE", "access to `sink_` in Simulator::flush_telemetry"),
+    "bad_gate_profiler": ("CHK-GATE", "access to `profiler` in Simulator::cycle "
+                                      "(reachable from Simulator::step)"),
     "bad_alloc": ("CHK-ALLOC", "push_back in hot-path function "
                                "Engine::route_cycle"),
     "bad_config": ("CHK-CONFIG", "`router.undocumented` is parsed but not "

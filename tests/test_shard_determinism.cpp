@@ -25,6 +25,9 @@
 //     pending and the other already merged; faults, mechanism-update
 //     windows and snapshot probes each add barriers the boundary must keep
 //     aligned.
+// (5) The phase profiler is a per-shard wall-clock overlay: profiled runs
+//     are byte-identical to unprofiled ones, count every cycle once, and
+//     record barrier wait.
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -90,7 +93,8 @@ RunCapture run_once(std::int32_t threads, std::int32_t jitter_us,
 // which extra barriers the cycles carry (ECtN: update windows; PB and ARN:
 // snapshot probes, ARN with update windows and the injection throttle).
 RunCapture run_dispatched(std::int32_t threads, RoutingKind kind,
-                          const std::vector<Cycle>& calls) {
+                          const std::vector<Cycle>& calls,
+                          bool profile = false) {
   SimParams p = presets::tiny();
   p.routing.kind = kind;
   if (kind == RoutingKind::kArn) {
@@ -108,7 +112,10 @@ RunCapture run_dispatched(std::int32_t threads, RoutingKind kind,
   p.fault.link_class = "global";
   Simulator sim(p);
   sim.enable_delivery_log();
+  if (profile) sim.enable_phase_profiler();
+  Cycle cycles = 0;
   for (const Cycle n : calls) {
+    cycles += n;
     if (n == 1) {
       sim.step();
     } else {
@@ -117,6 +124,18 @@ RunCapture run_dispatched(std::int32_t threads, RoutingKind kind,
     if (!sim.debug_check_active_state() || sim.conservation_error() != 0) {
       std::fprintf(stderr, "invariant broken at cycle %lld (threads %d)\n",
                    static_cast<long long>(sim.now()), threads);
+      std::exit(EXIT_FAILURE);
+    }
+  }
+  if (profile) {
+    const telemetry::PhaseProfiler& prof = sim.phase_profiler();
+    if (prof.cycles() != cycles ||
+        prof.nanoseconds(telemetry::Phase::kBarrier) <= 0) {
+      std::fprintf(stderr, "profiler: %lld of %lld cycles, barrier %lld ns\n",
+                   static_cast<long long>(prof.cycles()),
+                   static_cast<long long>(cycles),
+                   static_cast<long long>(
+                       prof.nanoseconds(telemetry::Phase::kBarrier)));
       std::exit(EXIT_FAILURE);
     }
   }
@@ -258,6 +277,21 @@ int main() {
                      to_string(kind).c_str(), threads);
         return EXIT_FAILURE;
       }
+    }
+  }
+
+  // --- (5) profiling every shard changes no result -------------------------
+  // ECtN with a fault onset crosses the fault, update-window and
+  // end-of-cycle barriers; the split dispatch restarts the profiled loop.
+  for (const std::int32_t threads : {2, 4}) {
+    const RunCapture plain =
+        run_dispatched(threads, RoutingKind::kCbEctn, {kCycles});
+    const RunCapture profiled = run_dispatched(
+        threads, RoutingKind::kCbEctn, {kSplit, kCycles - kSplit}, true);
+    if (!identical(plain, profiled)) {
+      std::fprintf(stderr, "profiling changed results at threads %d\n",
+                   threads);
+      return EXIT_FAILURE;
     }
   }
 

@@ -1,13 +1,17 @@
 // End-to-end simulator sanity at tiny scale: conservation, routing-mechanism
 // invariants (MIN never misroutes, VAL always does), throughput under light
-// load, adversarial behavior ordering, and the transient driver.
+// load, adversarial behavior ordering, the transient driver, and up-front
+// rejection of port classes configured with no VC.
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "engine/experiment.hpp"
 #include "engine/simulator.hpp"
 #include "engine/sweep.hpp"
+#include "sim/config_io.hpp"
 
 namespace {
 
@@ -163,6 +167,27 @@ int main() {
     assert(r.latency_p99 == pooled.quantile(0.99));
     // The old mean-of-quantiles aggregation genuinely differed here.
     assert(r.latency_p99 != mean_of_p99);
+  }
+
+  // A port class with no VC is rejected up front, naming the key (it would
+  // otherwise route onto VC -1 and read outside the queue arrays).
+  for (const char* key :
+       {"router.vcs_local", "router.vcs_global", "router.vcs_injection"}) {
+    for (const char* bad : {"0", "-1"}) {
+      SimParams p = presets::tiny();
+      apply_param(p, key, bad);
+      std::string what;
+      try {
+        Simulator sim(p);
+      } catch (const std::invalid_argument& e) {
+        what = e.what();
+      }
+      if (what.find(key) == std::string::npos) {
+        std::fprintf(stderr, "%s=%s not rejected by name (got '%s')\n", key,
+                     bad, what.c_str());
+        return EXIT_FAILURE;
+      }
+    }
   }
 
   return EXIT_SUCCESS;

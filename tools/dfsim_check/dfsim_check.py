@@ -101,7 +101,7 @@ CALL_KEYWORDS = {"if", "for", "while", "switch", "return", "sizeof", "assert",
 GATED_MEMBERS = {
     "sink_": ("telemetry_on_", "params_.telemetry.enabled"),
     "tracer_": ("trace_on_", "params_.trace.enabled"),
-    "profiler_": ("profile_on_", "profile_on_"),
+    "profiler": ("profile_on_", "profile_on_"),
     "health_": ("fault_on_", "params_.fault.enabled"),
     "fault_": ("fault_on_", "params_.fault.enabled"),
     "ectn_monitor_": ("ectn_monitor_enabled_", "ectn_monitor_enabled_"),

@@ -519,20 +519,12 @@ int cmd_perf(const CliOptions& cli) {
                                   item + "'");
     }
   }
-  // --phases folds the engine's per-phase wall-time accounting into each
-  // point. The profiler's clock reads add overhead, so phase-profiled
-  // cycles/sec are not comparable with unprofiled baselines — flagged in
-  // the document and excluded from the regression check.
+  // --phases folds the engine's per-phase wall-time accounting (summed over
+  // shards, barrier wait included) into each point. The profiler's clock
+  // reads add overhead, so phase-profiled cycles/sec are not comparable
+  // with unprofiled baselines — flagged in the document and excluded from
+  // the regression check.
   const bool phases = cli.has("phases");
-  if (phases) {
-    for (const std::int32_t t : thread_counts) {
-      if (t != 1) {
-        throw std::invalid_argument(
-            "perf: --phases requires --engine-threads=1 (the phase "
-            "profiler is serial-only)");
-      }
-    }
-  }
 
   Json points = Json::array();
   for (const std::string& scale : scales) {

@@ -863,12 +863,9 @@ void Simulator::route_and_allocate(Shard& sh) {
       }
       if (sh.request_batch.empty()) continue;
 
-      SeparableAllocator& alloc = allocators_[static_cast<std::size_t>(r)];
-      alloc.begin_cycle();
-      for (std::int32_t it = 0; it < params_.router.speedup; ++it) {
-        if (alloc.iterate(sh.request_batch).empty() && it > 0) break;
-      }
-      for (const AllocGrant& grant : alloc.cycle_grants()) {
+      for (const AllocGrant& grant :
+           allocators_[static_cast<std::size_t>(r)].allocate(
+               sh.request_batch, params_.router.speedup)) {
         depart(sh, r, grant);
       }
     }

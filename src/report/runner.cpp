@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <thread>
 
 #include "engine/sweep.hpp"
 
@@ -138,18 +137,12 @@ Panel run_transient_panel(const std::string& name,
                           Cycle window) {
   std::vector<TransientResult> results(series.size(),
                                        TransientResult(options.pre, options.post));
-  {
-    // One thread per series: each run_transient is single-threaded and the
-    // series count is small (<= 6), so this mirrors the sweep fan-out.
-    std::vector<std::thread> workers;
-    workers.reserve(series.size());
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      workers.emplace_back([&, i] {
-        results[i] = run_transient(series[i].params, options);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-  }
+  // One thread per series: each run_transient is single-threaded and the
+  // series count is small (<= 6), so this mirrors the sweep fan-out.
+  parallel_for(series.size(), static_cast<int>(series.size()),
+               [&](std::size_t i) {
+                 results[i] = run_transient(series[i].params, options);
+               });
 
   Panel panel;
   panel.name = name;

@@ -30,13 +30,28 @@ SeparableAllocator::SeparableAllocator(std::int32_t in_ports,
   out_rr_.assign(static_cast<std::size_t>(out_ports_), 0);
   in_busy_.assign(static_cast<std::size_t>(in_ports_), 0);
   out_busy_.assign(static_cast<std::size_t>(out_ports_), 0);
-  out_has_candidate_.assign(static_cast<std::size_t>(out_ports_), 0);
+  out_slot_.assign(static_cast<std::size_t>(out_ports_), 0);
   winners_.reserve(static_cast<std::size_t>(in_ports_));
   cand_outs_.reserve(static_cast<std::size_t>(out_ports_));
   iter_grants_.reserve(static_cast<std::size_t>(
       std::min(in_ports_, out_ports_)));
   cycle_grants_.reserve(static_cast<std::size_t>(
       2 * std::min(in_ports_, out_ports_)));
+}
+
+std::int32_t SeparableAllocator::stage2_key(PortIndex in,
+                                            std::int32_t start) const {
+  const std::int32_t cls =
+      (first_injection_port_ >= 0 && in >= first_injection_port_) ? 1 : 0;
+  return cls * in_ports_ + (in - start + in_ports_) % in_ports_;
+}
+
+void SeparableAllocator::advance_pointers(const AllocGrant& grant) {
+  // out_rr_ is bounded by its modulus here; in_rr_ wraps at lcm(1..vcs)
+  // (see in_rr_wrap).
+  out_rr_[static_cast<std::size_t>(grant.out)] = (grant.in + 1) % in_ports_;
+  std::int64_t& rr = in_rr_[static_cast<std::size_t>(grant.in)];
+  rr = (in_rr_wrap_ != 0 && rr + 1 == in_rr_wrap_) ? 0 : rr + 1;
 }
 
 void SeparableAllocator::begin_cycle() {
@@ -65,10 +80,11 @@ std::span<const AllocGrant> SeparableAllocator::iterate(
       if (out_busy_[static_cast<std::size_t>(req.out)]) continue;
       // dfsim-check: allow(CHK-ALLOC): reserved to in_ports_ in the ctor
       winners_.push_back(AllocGrant{group.in, req.vc, req.out});
-      if (!out_has_candidate_[static_cast<std::size_t>(req.out)]) {
-        out_has_candidate_[static_cast<std::size_t>(req.out)] = 1;
+      std::int32_t& slot = out_slot_[static_cast<std::size_t>(req.out)];
+      if (slot == 0) {
         // dfsim-check: allow(CHK-ALLOC): reserved to out_ports_ in the ctor
         cand_outs_.push_back(req.out);
+        slot = static_cast<std::int32_t>(cand_outs_.size());
       }
       break;
     }
@@ -94,13 +110,7 @@ std::span<const AllocGrant> SeparableAllocator::iterate(
         const AllocGrant& cand = winners_[w];
         if (cand.out != out) continue;
         if (in_busy_[static_cast<std::size_t>(cand.in)]) continue;
-        const std::int32_t dist =
-            (cand.in - start + in_ports_) % in_ports_;
-        const std::int32_t cls =
-            (first_injection_port_ >= 0 && cand.in >= first_injection_port_)
-                ? 1
-                : 0;
-        const std::int32_t key = cls * in_ports_ + dist;
+        const std::int32_t key = stage2_key(cand.in, start);
         if (best < 0 || key < best_key) {
           best = static_cast<std::int32_t>(w);
           best_key = key;
@@ -112,17 +122,13 @@ std::span<const AllocGrant> SeparableAllocator::iterate(
       iter_grants_.push_back(grant);
       in_busy_[static_cast<std::size_t>(grant.in)] = 1;
       out_busy_[outi] = 1;
-      // Advance round-robin pointers past the winners. out_rr_ is bounded
-      // by its modulus here; in_rr_ wraps at lcm(1..vcs) (see in_rr_wrap).
-      out_rr_[outi] = (grant.in + 1) % in_ports_;
-      std::int64_t& rr = in_rr_[static_cast<std::size_t>(grant.in)];
-      rr = (in_rr_wrap_ != 0 && rr + 1 == in_rr_wrap_) ? 0 : rr + 1;
+      advance_pointers(grant);
     }
   }
 
   // Sparse-clear the per-iteration scratch.
   for (const PortIndex out : cand_outs_) {
-    out_has_candidate_[static_cast<std::size_t>(out)] = 0;
+    out_slot_[static_cast<std::size_t>(out)] = 0;
   }
   cand_outs_.clear();
   winners_.clear();
@@ -131,6 +137,57 @@ std::span<const AllocGrant> SeparableAllocator::iterate(
   cycle_grants_.insert(cycle_grants_.end(), iter_grants_.begin(),
                        iter_grants_.end());
   return {iter_grants_.data(), iter_grants_.size()};
+}
+
+std::span<const AllocGrant> SeparableAllocator::allocate(
+    const AllocRequestBatch& batch, std::int32_t iterations) {
+  const std::vector<AllocRequestBatch::Group>& groups = batch.groups();
+  const std::vector<AllocRequest>& reqs = batch.reqs();
+  if (groups.size() != reqs.size() || iterations < 1) {
+    // Some input offers a choice of VCs: stage 1 picks among them, and a
+    // later iteration may grant a stage-2 loser another of its requests.
+    begin_cycle();
+    for (std::int32_t it = 0; it < iterations; ++it) {
+      if (iterate(batch).empty() && it > 0) break;
+    }
+    return cycle_grants();
+  }
+
+  // One request per input, so group g owns request g. Iteration 0 is the
+  // whole cycle: stage 1 picks each input's only request (in_rr_ % 1 == 0,
+  // nothing is busy yet), stage 2 grants each output its minimum-key
+  // requester, and every loser's only request targets a granted output, so
+  // later iterations grant nothing. The first requester of an output holds
+  // it; a later one takes it only with a smaller key. Keys are computed
+  // only for contested outputs.
+  cycle_grants_.clear();
+  for (std::size_t g = 0; g < reqs.size(); ++g) {
+    const AllocGrant cand{groups[g].in, reqs[g].vc, reqs[g].out};
+    const auto outi = static_cast<std::size_t>(cand.out);
+    std::int32_t& slot = out_slot_[outi];
+    if (slot == 0) {
+      // dfsim-check: allow(CHK-ALLOC): reserved to 2*min(in,out) in the ctor
+      cycle_grants_.push_back(cand);
+      slot = static_cast<std::int32_t>(cycle_grants_.size());
+      continue;
+    }
+    AllocGrant& held = cycle_grants_[static_cast<std::size_t>(slot - 1)];
+    const std::int32_t start = out_rr_[outi];
+    if (stage2_key(cand.in, start) < stage2_key(held.in, start)) held = cand;
+  }
+
+  // iterate() grants in ascending output order, and the order is
+  // observable: the engine departs grants in sequence and RNG draws hang
+  // off the new heads.
+  std::sort(cycle_grants_.begin(), cycle_grants_.end(),
+            [](const AllocGrant& a, const AllocGrant& b) {
+              return a.out < b.out;
+            });
+  for (const AllocGrant& grant : cycle_grants_) {
+    out_slot_[static_cast<std::size_t>(grant.out)] = 0;
+    advance_pointers(grant);
+  }
+  return cycle_grants();
 }
 
 std::span<const AllocGrant> SeparableAllocator::allocate_iteration(

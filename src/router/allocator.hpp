@@ -12,6 +12,12 @@
 // separable-allocator fairness. Grants land in a preallocated buffer and are
 // returned as a span — the simulator calls this for every active router
 // every cycle, so the no-allocation property is load-bearing (unit-tested).
+//
+// allocate() is the engine's entry point, one call per router per cycle. A
+// batch in which every input makes exactly one request (nearly every batch
+// the engine builds) is decided in one pass, bit-identical to
+// begin_cycle() + iterate() (allocator.cpp says why); other batches run
+// those two.
 #pragma once
 
 #include <cassert>
@@ -96,6 +102,13 @@ class SeparableAllocator {
   [[nodiscard]] std::span<const AllocGrant> allocate_iteration(
       const AllocRequestBatch& batch);
 
+  /// Allocates one whole cycle: the grants, grant order and pointer updates
+  /// of begin_cycle() followed by up to `iterations` (the router speedup)
+  /// iterate() calls, stopping after an iteration past the first that
+  /// grants nothing. The returned span aliases cycle_grants().
+  [[nodiscard]] std::span<const AllocGrant> allocate(
+      const AllocRequestBatch& batch, std::int32_t iterations);
+
   /// Incremental variant for multi-iteration (speedup > 1) allocation:
   /// inputs/outputs granted in earlier iterations of the same cycle are
   /// skipped. Call `begin_cycle()` first, then `iterate` up to `speedup`
@@ -125,6 +138,13 @@ class SeparableAllocator {
   }
 
  private:
+  // Stage-2 rank of input `in` at an output whose round-robin pointer is
+  // `start`: through-priority class, then circular distance from the
+  // pointer. Distinct per input, so an output's winner is its minimum key.
+  [[nodiscard]] std::int32_t stage2_key(PortIndex in, std::int32_t start) const;
+  // Moves both round-robin pointers past a grant's winner.
+  void advance_pointers(const AllocGrant& grant);
+
   std::int32_t in_ports_;
   std::int32_t out_ports_;
   std::int32_t vcs_;
@@ -142,8 +162,11 @@ class SeparableAllocator {
   std::vector<std::int8_t> out_busy_;   // output granted this cycle
   // Per-iteration scratch (preallocated, sparse-cleared after stage 2).
   std::vector<AllocGrant> winners_;     // stage-1 winner per requesting input
-  std::vector<std::int8_t> out_has_candidate_;
   std::vector<PortIndex> cand_outs_;    // distinct stage-1 outputs
+  // Per output, 0 unless it was seen in this pass: iterate() marks stage-1
+  // outputs listed in cand_outs_, allocate()'s one-pass path stores 1 + the
+  // index of the output's grant in cycle_grants_.
+  std::vector<std::int32_t> out_slot_;
   std::vector<AllocGrant> iter_grants_;
   std::vector<AllocGrant> cycle_grants_;
 };

@@ -1,9 +1,12 @@
 // SeparableAllocator: no double grants, grants match real requests, work
-// conservation on contested outputs, multi-iteration improvement, and the
+// conservation on contested outputs, multi-iteration improvement, the
 // bounded round-robin counters (wrap at lcm(1..vcs), bit-identical cadence
-// to an unbounded counter — the int32-overflow fix).
+// to an unbounded counter — the int32-overflow fix), and allocate() against
+// the begin_cycle() + iterate() loop it replaces in the engine.
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <numeric>
 #include <vector>
 
 #include "router/allocator.hpp"
@@ -149,6 +152,98 @@ int main() {
     assert(wide.in_rr_wrap() == 0);
     SeparableAllocator sane(2, 2, 4);
     assert(sane.in_rr_wrap() == 12);  // lcm(1..4)
+  }
+
+  // allocate() vs begin_cycle() + the engine's former iterate loop: two
+  // allocators of one shape driven in lockstep grant the same sequence,
+  // order included, and hold the same input pointers after every cycle.
+  // Batch kinds rotate per cycle: one request per input on distinct
+  // outputs, one request per input on a few shared outputs (the one-pass
+  // path with contested outputs), and several requests per input (the
+  // general path), so pointer state carries across both paths.
+  {
+    std::int64_t one_pass_cycles = 0;
+    std::int64_t contested_cycles = 0;
+    for (const std::int32_t ports : {4, 15, 31}) {
+      for (const std::int32_t vcs : {1, 2, 3}) {
+        for (const std::int32_t speedup : {1, 2, 3}) {
+          for (const bool through : {false, true}) {
+            SeparableAllocator fast(ports, ports, vcs);
+            SeparableAllocator ref(ports, ports, vcs);
+            if (through) {
+              fast.set_through_priority(ports / 2);
+              ref.set_through_priority(ports / 2);
+            }
+            Rng rng(static_cast<std::uint64_t>(
+                ports * 1000 + vcs * 100 + speedup * 10 + (through ? 1 : 0)));
+            AllocRequestBatch batch;
+            batch.reserve(ports, vcs);
+            std::vector<PortIndex> perm(static_cast<std::size_t>(ports));
+            std::vector<int> out_requests(static_cast<std::size_t>(ports));
+            for (int cycle = 0; cycle < 3000; ++cycle) {
+              batch.clear();
+              const int kind = cycle % 3;
+              std::iota(perm.begin(), perm.end(), PortIndex{0});
+              for (std::int32_t i = ports - 1; i > 0; --i) {
+                std::swap(perm[static_cast<std::size_t>(i)],
+                          perm[rng.next_below(
+                              static_cast<std::uint64_t>(i + 1))]);
+              }
+              const auto shared = static_cast<std::uint64_t>(
+                  1 + rng.next_below(std::min<std::uint64_t>(
+                          3, static_cast<std::uint64_t>(ports))));
+              std::fill(out_requests.begin(), out_requests.end(), 0);
+              for (std::int32_t in = 0; in < ports; ++in) {
+                if (kind == 2) {
+                  for (VcIndex vc = 0; vc < vcs; ++vc) {
+                    if (!rng.next_bool(0.5)) continue;
+                    batch.add(static_cast<PortIndex>(in), vc,
+                              static_cast<PortIndex>(rng.next_below(
+                                  static_cast<std::uint64_t>(ports))));
+                  }
+                  continue;
+                }
+                if (!rng.next_bool(0.7)) continue;
+                const auto vc = static_cast<VcIndex>(
+                    rng.next_below(static_cast<std::uint64_t>(vcs)));
+                const PortIndex out =
+                    kind == 0 ? perm[static_cast<std::size_t>(in)]
+                              : perm[rng.next_below(shared)];
+                ++out_requests[static_cast<std::size_t>(out)];
+                batch.add(static_cast<PortIndex>(in), vc, out);
+              }
+              if (kind != 2 && !batch.empty()) {
+                ++one_pass_cycles;
+                if (*std::max_element(out_requests.begin(),
+                                      out_requests.end()) > 1) {
+                  ++contested_cycles;
+                }
+              }
+
+              const auto got = fast.allocate(batch, speedup);
+              assert(got.data() == fast.cycle_grants().data());
+              ref.begin_cycle();
+              for (std::int32_t it = 0; it < speedup; ++it) {
+                if (ref.iterate(batch).empty() && it > 0) break;
+              }
+              const auto want = ref.cycle_grants();
+              assert(got.size() == want.size());
+              for (std::size_t g = 0; g < got.size(); ++g) {
+                assert(got[g].in == want[g].in);
+                assert(got[g].vc == want[g].vc);
+                assert(got[g].out == want[g].out);
+              }
+              for (std::int32_t in = 0; in < ports; ++in) {
+                assert(fast.debug_in_rr(in) == ref.debug_in_rr(in));
+              }
+            }
+          }
+        }
+      }
+    }
+    // Both one-pass shapes were exercised, not just the general path.
+    assert(one_pass_cycles > 0);
+    assert(contested_cycles > 0 && contested_cycles < one_pass_cycles);
   }
 
   return EXIT_SUCCESS;

@@ -190,5 +190,29 @@ int main() {
     }
   }
 
+  // A sweep point that throws stops the pool, and the exception reaches the
+  // caller instead of escaping a worker thread (std::terminate). With two
+  // invalid points the lower index's exception surfaces at every worker
+  // count.
+  for (const int threads : {1, 2, 4}) {
+    SteadyOptions opt;
+    opt.warmup = 100;
+    opt.measure = 100;
+    std::vector<SweepPoint> points(8, SweepPoint{presets::tiny(), opt});
+    apply_param(points[3].params, "router.vcs_injection", "0");
+    apply_param(points[6].params, "router.vcs_global", "0");
+    std::string what;
+    try {
+      (void)run_sweep(points, threads);
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
+    }
+    if (what.find("router.vcs_injection") == std::string::npos) {
+      std::fprintf(stderr, "run_sweep threads=%d: got '%s'\n", threads,
+                   what.c_str());
+      return EXIT_FAILURE;
+    }
+  }
+
   return EXIT_SUCCESS;
 }

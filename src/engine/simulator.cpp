@@ -36,12 +36,14 @@ Simulator::Simulator(const SimParams& params,
   if (params_.engine.threads < 1) {
     throw std::invalid_argument("engine.threads must be >= 1");
   }
-  // A class with no VC would make vc_for() return VC -1.
-  for (const auto& [key, vcs] :
+  // A class with no VC would make vc_for() return VC -1, and a speedup
+  // below 1 runs no allocator iteration, so nothing ever departs.
+  for (const auto& [key, value] :
        {std::pair{"router.vcs_local", params_.router.vcs_local},
         std::pair{"router.vcs_global", params_.router.vcs_global},
-        std::pair{"router.vcs_injection", params_.router.vcs_injection}}) {
-    if (vcs < 1) {
+        std::pair{"router.vcs_injection", params_.router.vcs_injection},
+        std::pair{"router.speedup", params_.router.speedup}}) {
+    if (value < 1) {
       throw std::invalid_argument(std::string(key) + " must be >= 1");
     }
   }

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/format.hpp"
+
 namespace dfsim::report {
 
 Json& Json::set(const std::string& key, Json value) {
@@ -45,21 +47,7 @@ double Json::get_number(const std::string& key, double fallback) const {
 }
 
 std::string Json::number_to_string(double v) {
-  if (!std::isfinite(v)) return "null";
-  if (v == 0.0) return "0";  // normalize -0.0 as well
-  // Integers up to 2^53 print exactly without an exponent or fraction.
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  // Shortest %.*g form that survives strtod round-trip.
-  char buf[40];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
+  return std::isfinite(v) ? shortest_round_trip(v) : "null";
 }
 
 namespace {

@@ -742,7 +742,6 @@ ResultsDoc run_notification_transient(RunContext ctx) {
   {
     SimParams p = ctx.base;
     p.routing.kind = RoutingKind::kArn;
-    p.notify.enabled = true;
     series.push_back(TransientSeries{"ARN", p});
     p.notify.throttle_injection = true;
     series.push_back(TransientSeries{"ARN+thr", p});
@@ -763,11 +762,9 @@ ResultsDoc run_notification_transient(RunContext ctx) {
   }
   steady.push_back(GridSeries{"ARN", [](SimParams& p) {
                                 p.routing.kind = RoutingKind::kArn;
-                                p.notify.enabled = true;
                               }});
   steady.push_back(GridSeries{"ARN+thr", [](SimParams& p) {
                                 p.routing.kind = RoutingKind::kArn;
-                                p.notify.enabled = true;
                                 p.notify.throttle_injection = true;
                               }});
   doc.panels.push_back(run_grid_panel(

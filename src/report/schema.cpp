@@ -278,132 +278,7 @@ void write_csv(const ResultsDoc& doc, std::ostream& os) {
 }
 
 // ---------------------------------------------------------------------------
-// Canonical config text + hash
-
-std::string canonical_params_text(const SimParams& p) {
-  std::string out;
-  auto line = [&out](const std::string& key, const std::string& value) {
-    out += key;
-    out += " = ";
-    out += value;
-    out += '\n';
-  };
-  auto i32 = [&line](const std::string& key, std::int32_t v) {
-    line(key, std::to_string(v));
-  };
-  auto f64 = [&line](const std::string& key, double v) {
-    line(key, Json::number_to_string(v));
-  };
-  auto boolean = [&line](const std::string& key, bool v) {
-    line(key, v ? "true" : "false");
-  };
-
-  line("topology", to_string(p.topology));
-  i32("topo.p", p.topo.p);
-  i32("topo.a", p.topo.a);
-  i32("topo.h", p.topo.h);
-  i32("fbfly.k", p.fbfly.k);
-  i32("fbfly.n", p.fbfly.n);
-  i32("fbfly.c", p.fbfly.c);
-  i32("torus.k", p.torus.k);
-  i32("torus.n", p.torus.n);
-  i32("torus.c", p.torus.c);
-  i32("router.pipeline_cycles", p.router.pipeline_cycles);
-  i32("router.speedup", p.router.speedup);
-  i32("router.vcs_local", p.router.vcs_local);
-  i32("router.vcs_global", p.router.vcs_global);
-  i32("router.vcs_injection", p.router.vcs_injection);
-  i32("router.buf_output_phits", p.router.buf_output_phits);
-  i32("router.buf_local_phits", p.router.buf_local_phits);
-  i32("router.buf_global_phits", p.router.buf_global_phits);
-  i32("router.injection_queue_packets", p.router.injection_queue_packets);
-  boolean("router.through_priority", p.router.through_priority);
-  i32("link.local_latency", p.link.local_latency);
-  i32("link.global_latency", p.link.global_latency);
-  line("routing.kind", to_string(p.routing.kind));
-  i32("routing.contention_threshold", p.routing.contention_threshold);
-  i32("routing.hybrid_contention_threshold",
-      p.routing.hybrid_contention_threshold);
-  i32("routing.ectn_combined_threshold", p.routing.ectn_combined_threshold);
-  i32("routing.ectn_update_period",
-      static_cast<std::int32_t>(p.routing.ectn_update_period));
-  i32("routing.counter_saturation", p.routing.counter_saturation);
-  f64("routing.olm_credit_fraction", p.routing.olm_credit_fraction);
-  f64("routing.hybrid_credit_fraction", p.routing.hybrid_credit_fraction);
-  i32("routing.pb_ugal_threshold", p.routing.pb_ugal_threshold);
-  line("routing.global_policy",
-       p.routing.global_policy == GlobalMisroutePolicy::kMmL ? "MM+L" : "CRG");
-  boolean("routing.allow_local_misroute", p.routing.allow_local_misroute);
-  boolean("routing.statistical_trigger", p.routing.statistical_trigger);
-  i32("routing.statistical_window", p.routing.statistical_window);
-  line("traffic.kind", to_string(p.traffic.kind));
-  f64("traffic.load", p.traffic.load);
-  i32("traffic.adv_offset", p.traffic.adv_offset);
-  f64("traffic.mixed_uniform_fraction", p.traffic.mixed_uniform_fraction);
-  i32("traffic.shift_offset", p.traffic.shift_offset);
-  i32("traffic.hotspot_count", p.traffic.hotspot_count);
-  f64("traffic.hotspot_fraction", p.traffic.hotspot_fraction);
-  line("traffic.injection", to_string(p.traffic.injection));
-  f64("traffic.burst_factor", p.traffic.burst_factor);
-  f64("traffic.burst_len", p.traffic.burst_len);
-  if (!p.traffic.trace_path.empty()) {
-    line("traffic.trace_path", p.traffic.trace_path);
-  }
-  f64("traffic.inorder_fraction", p.traffic.inorder_fraction);
-  i32("packet_size_phits", p.packet_size_phits);
-  line("seed", std::to_string(p.seed));
-  // Fault overlay, emitted only when enabled: healthy configs keep their
-  // exact pre-fault canonical text (and hash), so pinned hashes and v1
-  // goldens stay valid.
-  if (p.fault.enabled) {
-    boolean("fault.enabled", true);
-    line("fault.seed", std::to_string(p.fault.seed));
-    i32("fault.onset", static_cast<std::int32_t>(p.fault.onset));
-    f64("fault.link_fail_fraction", p.fault.link_fail_fraction);
-    line("fault.link_class", p.fault.link_class);
-    i32("fault.flap_period", static_cast<std::int32_t>(p.fault.flap_period));
-    i32("fault.flap_down", static_cast<std::int32_t>(p.fault.flap_down));
-    f64("fault.router_fail_fraction", p.fault.router_fail_fraction);
-    f64("fault.degrade_fraction", p.fault.degrade_fraction);
-    i32("fault.degrade_latency", p.fault.degrade_latency);
-    i32("fault.hop_cap", p.fault.hop_cap);
-  }
-  // Telemetry and tracing follow the fault-axis precedent: observability
-  // knobs only enter the hash when enabled, so hashes of uninstrumented
-  // runs never move when the observability layer grows.
-  if (p.telemetry.enabled) {
-    boolean("telemetry.enabled", true);
-    i32("telemetry.sample_period",
-        static_cast<std::int32_t>(p.telemetry.sample_period));
-    i32("telemetry.max_samples", p.telemetry.max_samples);
-  }
-  if (p.trace.enabled) {
-    boolean("trace.enabled", true);
-    line("trace.seed", std::to_string(p.trace.seed));
-    f64("trace.sample_rate", p.trace.sample_rate);
-    i32("trace.max_events", static_cast<std::int32_t>(p.trace.max_events));
-  }
-  // Notification plane (ARN family), same gating discipline: configs that
-  // never enable it keep their exact pre-notification hashes.
-  if (p.notify.enabled) {
-    boolean("notify.enabled", true);
-    f64("notify.threshold", p.notify.threshold);
-    i32("notify.update_period",
-        static_cast<std::int32_t>(p.notify.update_period));
-    i32("notify.propagation_delay",
-        static_cast<std::int32_t>(p.notify.propagation_delay));
-    i32("notify.expiry", static_cast<std::int32_t>(p.notify.expiry));
-    boolean("notify.throttle_injection", p.notify.throttle_injection);
-  }
-  // Sharded execution, emitted only off-default: serial configs keep their
-  // exact pre-sharding canonical text (and hash). Thread count is in the
-  // hash because parallel results are deterministic per (seed, threads) but
-  // not bit-identical across thread counts.
-  if (p.engine.threads != 1) {
-    i32("engine.threads", p.engine.threads);
-  }
-  return out;
-}
+// Config hash
 
 std::string fnv1a_hex(const std::string& text) {
   std::uint64_t hash = 14695981039346656037ull;

@@ -12,7 +12,7 @@
 
 #include "engine/experiment.hpp"
 #include "report/json.hpp"
-#include "sim/config.hpp"
+#include "sim/config_io.hpp"
 
 namespace dfsim::report {
 
@@ -112,14 +112,7 @@ struct ResultsDoc {
 void write_csv(const ResultsDoc& doc, std::ostream& os);
 
 // ---------------------------------------------------------------------------
-// Canonical config text + hash
-
-/// Every SimParams knob as "key = value" lines, one per line, in a fixed
-/// order, using the exact key names sim/config_io.cpp accepts (the text is
-/// itself a loadable INI overlay). Appending new params at the end keeps
-/// existing hashes stable only if the new field keeps its default — any
-/// behavioral config change is *supposed* to change the hash.
-[[nodiscard]] std::string canonical_params_text(const SimParams& params);
+// Config hash
 
 /// 64-bit FNV-1a over `text`, as 16 lowercase hex chars.
 [[nodiscard]] std::string fnv1a_hex(const std::string& text);

@@ -1,17 +1,10 @@
 #include "routing/notification.hpp"
 
-#include <stdexcept>
-
 namespace dfsim::routing {
 
 ArnMechanism::ArnMechanism(const SimParams& params, const Topology& topo,
                            const EngineProbe& engine)
     : RoutingMechanism(params, topo, engine), notify_(params.notify) {
-  if (!notify_.enabled) {
-    throw std::invalid_argument(
-        "ARN routing needs notify.enabled = true (without the notification "
-        "plane it would silently degenerate to MIN)");
-  }
   const auto slots =
       static_cast<std::size_t>(topo.routers()) *
       static_cast<std::size_t>(topo.radix());

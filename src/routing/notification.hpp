@@ -31,8 +31,6 @@ namespace dfsim::routing {
 
 class ArnMechanism final : public RoutingMechanism {
  public:
-  /// Throws std::invalid_argument unless params.notify.enabled — ARN with
-  /// the notification plane off would silently degenerate to MIN.
   ArnMechanism(const SimParams& params, const Topology& topo,
                const EngineProbe& engine);
 

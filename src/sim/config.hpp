@@ -215,11 +215,10 @@ struct TraceParams {
 /// ARN family of arxiv 2502.00616): routers whose forward links exceed an
 /// occupancy threshold broadcast a notification that becomes visible at
 /// every source after a propagation delay and expires after a staleness
-/// window. Inert unless enabled; `routing.kind = ARN` requires it (the
-/// factory throws otherwise), and the `notify.*` block enters the
-/// canonical params text — and thus config hashes — only when enabled.
+/// window. The notification plane is what `routing.kind = ARN` runs; no
+/// other mechanism reads these knobs, and the `notify.*` block enters the
+/// canonical params text — and thus config hashes — only for ARN.
 struct NotifyParams {
-  bool enabled = false;
   /// Occupancy fraction of a forward link's buffer that flags it congested
   /// during a notification scan (same credit-occupancy test as OLM/PB).
   double threshold = 0.5;

@@ -1,7 +1,11 @@
 #include "sim/config_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <stdexcept>
+#include <type_traits>
+
+#include "util/format.hpp"
 
 namespace dfsim {
 
@@ -14,141 +18,249 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-std::int32_t to_i32(const std::string& key, const std::string& value) {
-  try {
-    return static_cast<std::int32_t>(std::stol(value));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config: bad integer for " + key + ": '" +
-                                value + "'");
+// ---------------------------------------------------------------------------
+// Value codecs, picked by the field's type: parse_value reads a whole INI
+// value or throws naming the key, format_value writes the text that
+// parse_value reads back to the same value.
+
+/// A number must parse whole and fit its field; unsigned fields refuse a
+/// '-' (std::strtoull would wrap it). A leading '+' is accepted, as strtod's.
+template <typename T>
+  requires std::is_arithmetic_v<T>
+void parse_value(T& out, const std::string& key, const std::string& value) {
+  const char* first = value.data();
+  const char* last = first + value.size();
+  if (value.size() > 1 && value[0] == '+' && value[1] != '-') ++first;
+  T v{};
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec != std::errc() || end != last) {
+    throw std::invalid_argument(
+        "config: bad number for " + key + ": '" + value + "'" +
+        (ec == std::errc::result_out_of_range ? " (out of range)" : ""));
   }
+  out = v;
 }
 
-double to_f64(const std::string& key, const std::string& value) {
-  try {
-    return std::stod(value);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config: bad number for " + key + ": '" +
-                                value + "'");
-  }
-}
-
-bool to_bool(const std::string& key, const std::string& value) {
+void parse_value(bool& out, const std::string& key, const std::string& value) {
   if (value == "true" || value == "1" || value == "yes" || value == "on") {
-    return true;
+    out = true;
+  } else if (value == "false" || value == "0" || value == "no" ||
+             value == "off") {
+    out = false;
+  } else {
+    throw std::invalid_argument("config: bad bool for " + key + ": '" +
+                                value + "'");
   }
-  if (value == "false" || value == "0" || value == "no" || value == "off") {
-    return false;
-  }
-  throw std::invalid_argument("config: bad bool for " + key + ": '" + value +
-                              "'");
 }
+
+void parse_value(TopologyKind& out, const std::string&, const std::string& v) {
+  out = topology_kind_from_string(v);
+}
+void parse_value(RoutingKind& out, const std::string&, const std::string& v) {
+  out = routing_kind_from_string(v);
+}
+void parse_value(TrafficKind& out, const std::string&, const std::string& v) {
+  out = traffic_kind_from_string(v);
+}
+void parse_value(InjectionProcess& out, const std::string&,
+                 const std::string& v) {
+  out = injection_process_from_string(v);
+}
+void parse_value(GlobalMisroutePolicy& out, const std::string&,
+                 const std::string& v) {
+  if (v == "MM+L" || v == "mml" || v == "MML") {
+    out = GlobalMisroutePolicy::kMmL;
+  } else if (v == "CRG" || v == "crg") {
+    out = GlobalMisroutePolicy::kCrg;
+  } else {
+    throw std::invalid_argument("config: bad global_policy '" + v + "'");
+  }
+}
+
+std::string format_value(bool v) { return v ? "true" : "false"; }
+std::string format_value(double v) { return shortest_round_trip(v); }
+std::string format_value(const std::string& v) { return v; }
+std::string format_value(GlobalMisroutePolicy v) {
+  return v == GlobalMisroutePolicy::kMmL ? "MM+L" : "CRG";
+}
+/// Integers through std::to_string, enums through their dfsim::to_string.
+template <typename T>
+std::string format_value(T v) {
+  using std::to_string;
+  return to_string(v);
+}
+
+// The two string fields parse by hand.
+void parse_link_class(SimParams& p, const std::string& key,
+                      const std::string& value) {
+  if (value != "any" && value != "local" && value != "global") {
+    throw std::invalid_argument("config: bad " + key + " '" + value +
+                                "' (expected any|local|global)");
+  }
+  p.fault.link_class = value;
+}
+
+// A trace path also selects trace replay.
+void parse_trace_path(SimParams& p, const std::string&,
+                      const std::string& value) {
+  p.traffic.trace_path = value;
+  p.traffic.kind = TrafficKind::kTrace;
+}
+
+// ---------------------------------------------------------------------------
+// The parameter table
+
+// Row gates. A gated row enters the canonical text only while its gate
+// holds, so a config that leaves an axis off keeps the text (and hash) it had
+// before the axis existed; turning one on is supposed to move the hash.
+bool fault_on(const SimParams& p) { return p.fault.enabled; }
+bool telemetry_on(const SimParams& p) { return p.telemetry.enabled; }
+bool trace_on(const SimParams& p) { return p.trace.enabled; }
+// The notification plane is what ARN runs; nothing else reads notify.*.
+bool notify_on(const SimParams& p) {
+  return p.routing.kind == RoutingKind::kArn;
+}
+// An empty trace path is the same run as none.
+bool trace_path_set(const SimParams& p) {
+  return !p.traffic.trace_path.empty();
+}
+// Sharded results are deterministic per (seed, threads) but not
+// bit-identical across thread counts.
+bool sharded(const SimParams& p) { return p.engine.threads != 1; }
+
+struct Row {
+  const char* key;
+  bool (*gate)(const SimParams& p);  // nullptr: always emitted
+  void (*parse)(SimParams& p, const std::string& key, const std::string& value);
+  std::string (*format)(const SimParams& p);
+};
+
+/// A row over the field `Field{}(params)` returns: its type picks the
+/// formatter, and the parser unless the row names one.
+template <typename Field>
+constexpr Row row(const char* key, Field, decltype(Row::gate) gate,
+                  decltype(Row::parse) parse) {
+  return {key, gate, parse,
+          [](const SimParams& p) { return format_value(Field{}(p)); }};
+}
+
+template <typename Field>
+constexpr Row row(const char* key, Field field,
+                  decltype(Row::gate) gate = nullptr) {
+  return row(key, field, gate,
+             [](SimParams& p, const std::string& k, const std::string& v) {
+               parse_value(Field{}(p), k, v);
+             });
+}
+
+// A row's key is its field's member path, spelled once: ROW(topo.p) is the
+// key "topo.p" over `params.topo.p`.
+#define ROW(member, ...)                                 \
+  row(#member, [](auto& p) -> auto& { return p.member; } \
+      __VA_OPT__(, ) __VA_ARGS__)
+
+/// Every config key, in canonical-text order.
+constexpr Row kRows[] = {
+    ROW(topology),
+    ROW(topo.p),
+    ROW(topo.a),
+    ROW(topo.h),
+    ROW(fbfly.k),
+    ROW(fbfly.n),
+    ROW(fbfly.c),
+    ROW(torus.k),
+    ROW(torus.n),
+    ROW(torus.c),
+    ROW(router.pipeline_cycles),
+    ROW(router.speedup),
+    ROW(router.vcs_local),
+    ROW(router.vcs_global),
+    ROW(router.vcs_injection),
+    ROW(router.buf_output_phits),
+    ROW(router.buf_local_phits),
+    ROW(router.buf_global_phits),
+    ROW(router.injection_queue_packets),
+    ROW(router.through_priority),
+    ROW(link.local_latency),
+    ROW(link.global_latency),
+    ROW(routing.kind),
+    ROW(routing.contention_threshold),
+    ROW(routing.hybrid_contention_threshold),
+    ROW(routing.ectn_combined_threshold),
+    ROW(routing.ectn_update_period),
+    ROW(routing.counter_saturation),
+    ROW(routing.olm_credit_fraction),
+    ROW(routing.hybrid_credit_fraction),
+    ROW(routing.pb_ugal_threshold),
+    ROW(routing.global_policy),
+    ROW(routing.allow_local_misroute),
+    ROW(routing.statistical_trigger),
+    ROW(routing.statistical_window),
+    ROW(traffic.kind),
+    ROW(traffic.load),
+    ROW(traffic.adv_offset),
+    ROW(traffic.mixed_uniform_fraction),
+    ROW(traffic.shift_offset),
+    ROW(traffic.hotspot_count),
+    ROW(traffic.hotspot_fraction),
+    ROW(traffic.injection),
+    ROW(traffic.burst_factor),
+    ROW(traffic.burst_len),
+    ROW(traffic.trace_path, trace_path_set, parse_trace_path),
+    ROW(traffic.inorder_fraction),
+    ROW(packet_size_phits),
+    ROW(seed),
+    ROW(fault.enabled, fault_on),
+    ROW(fault.seed, fault_on),
+    ROW(fault.onset, fault_on),
+    ROW(fault.link_fail_fraction, fault_on),
+    ROW(fault.link_class, fault_on, parse_link_class),
+    ROW(fault.flap_period, fault_on),
+    ROW(fault.flap_down, fault_on),
+    ROW(fault.router_fail_fraction, fault_on),
+    ROW(fault.degrade_fraction, fault_on),
+    ROW(fault.degrade_latency, fault_on),
+    ROW(fault.hop_cap, fault_on),
+    ROW(telemetry.enabled, telemetry_on),
+    ROW(telemetry.sample_period, telemetry_on),
+    ROW(telemetry.max_samples, telemetry_on),
+    ROW(trace.enabled, trace_on),
+    ROW(trace.seed, trace_on),
+    ROW(trace.sample_rate, trace_on),
+    ROW(trace.max_events, trace_on),
+    ROW(notify.threshold, notify_on),
+    ROW(notify.update_period, notify_on),
+    ROW(notify.propagation_delay, notify_on),
+    ROW(notify.expiry, notify_on),
+    ROW(notify.throttle_injection, notify_on),
+    ROW(engine.threads, sharded),
+};
+
+#undef ROW
 
 }  // namespace
 
 void apply_param(SimParams& p, const std::string& key,
                  const std::string& value) {
-  // Topology
-  if (key == "topology") { p.topology = topology_kind_from_string(value); return; }
-  if (key == "topo.p") { p.topo.p = to_i32(key, value); return; }
-  if (key == "topo.a") { p.topo.a = to_i32(key, value); return; }
-  if (key == "topo.h") { p.topo.h = to_i32(key, value); return; }
-  if (key == "fbfly.k") { p.fbfly.k = to_i32(key, value); return; }
-  if (key == "fbfly.n") { p.fbfly.n = to_i32(key, value); return; }
-  if (key == "fbfly.c") { p.fbfly.c = to_i32(key, value); return; }
-  if (key == "torus.k") { p.torus.k = to_i32(key, value); return; }
-  if (key == "torus.n") { p.torus.n = to_i32(key, value); return; }
-  if (key == "torus.c") { p.torus.c = to_i32(key, value); return; }
-  // Router
-  if (key == "router.pipeline_cycles") { p.router.pipeline_cycles = to_i32(key, value); return; }
-  if (key == "router.speedup") { p.router.speedup = to_i32(key, value); return; }
-  if (key == "router.vcs_local") { p.router.vcs_local = to_i32(key, value); return; }
-  if (key == "router.vcs_global") { p.router.vcs_global = to_i32(key, value); return; }
-  if (key == "router.vcs_injection") { p.router.vcs_injection = to_i32(key, value); return; }
-  if (key == "router.buf_output_phits") { p.router.buf_output_phits = to_i32(key, value); return; }
-  if (key == "router.buf_local_phits") { p.router.buf_local_phits = to_i32(key, value); return; }
-  if (key == "router.buf_global_phits") { p.router.buf_global_phits = to_i32(key, value); return; }
-  if (key == "router.injection_queue_packets") { p.router.injection_queue_packets = to_i32(key, value); return; }
-  if (key == "router.through_priority") { p.router.through_priority = to_bool(key, value); return; }
-  // Links
-  if (key == "link.local_latency") { p.link.local_latency = to_i32(key, value); return; }
-  if (key == "link.global_latency") { p.link.global_latency = to_i32(key, value); return; }
-  // Routing
-  if (key == "routing.kind") { p.routing.kind = routing_kind_from_string(value); return; }
-  if (key == "routing.contention_threshold") { p.routing.contention_threshold = to_i32(key, value); return; }
-  if (key == "routing.hybrid_contention_threshold") { p.routing.hybrid_contention_threshold = to_i32(key, value); return; }
-  if (key == "routing.ectn_combined_threshold") { p.routing.ectn_combined_threshold = to_i32(key, value); return; }
-  if (key == "routing.ectn_update_period") { p.routing.ectn_update_period = to_i32(key, value); return; }
-  if (key == "routing.counter_saturation") { p.routing.counter_saturation = to_i32(key, value); return; }
-  if (key == "routing.olm_credit_fraction") { p.routing.olm_credit_fraction = to_f64(key, value); return; }
-  if (key == "routing.hybrid_credit_fraction") { p.routing.hybrid_credit_fraction = to_f64(key, value); return; }
-  if (key == "routing.pb_ugal_threshold") { p.routing.pb_ugal_threshold = to_i32(key, value); return; }
-  if (key == "routing.global_policy") {
-    if (value == "MM+L" || value == "mml" || value == "MML") {
-      p.routing.global_policy = GlobalMisroutePolicy::kMmL;
-    } else if (value == "CRG" || value == "crg") {
-      p.routing.global_policy = GlobalMisroutePolicy::kCrg;
-    } else {
-      throw std::invalid_argument("config: bad global_policy '" + value + "'");
+  for (const Row& r : kRows) {
+    if (key == r.key) {
+      r.parse(p, key, value);
+      return;
     }
-    return;
   }
-  if (key == "routing.allow_local_misroute") { p.routing.allow_local_misroute = to_bool(key, value); return; }
-  if (key == "routing.statistical_trigger") { p.routing.statistical_trigger = to_bool(key, value); return; }
-  if (key == "routing.statistical_window") { p.routing.statistical_window = to_i32(key, value); return; }
-  // Traffic (names per traffic/spec.cpp; any registered model is selectable)
-  if (key == "traffic.kind") { p.traffic.kind = traffic_kind_from_string(value); return; }
-  if (key == "traffic.load") { p.traffic.load = to_f64(key, value); return; }
-  if (key == "traffic.adv_offset") { p.traffic.adv_offset = to_i32(key, value); return; }
-  if (key == "traffic.mixed_uniform_fraction") { p.traffic.mixed_uniform_fraction = to_f64(key, value); return; }
-  if (key == "traffic.shift_offset") { p.traffic.shift_offset = to_i32(key, value); return; }
-  if (key == "traffic.hotspot_count") { p.traffic.hotspot_count = to_i32(key, value); return; }
-  if (key == "traffic.hotspot_fraction") { p.traffic.hotspot_fraction = to_f64(key, value); return; }
-  if (key == "traffic.injection") { p.traffic.injection = injection_process_from_string(value); return; }
-  if (key == "traffic.burst_factor") { p.traffic.burst_factor = to_f64(key, value); return; }
-  if (key == "traffic.burst_len") { p.traffic.burst_len = to_f64(key, value); return; }
-  if (key == "traffic.trace_path") { p.traffic.trace_path = value; p.traffic.kind = TrafficKind::kTrace; return; }
-  if (key == "traffic.inorder_fraction") { p.traffic.inorder_fraction = to_f64(key, value); return; }
-  // Fault schedule (src/fault/fault_model.hpp)
-  if (key == "fault.enabled") { p.fault.enabled = to_bool(key, value); return; }
-  if (key == "fault.seed") { p.fault.seed = static_cast<std::uint64_t>(to_i32(key, value)); return; }
-  if (key == "fault.onset") { p.fault.onset = to_i32(key, value); return; }
-  if (key == "fault.link_fail_fraction") { p.fault.link_fail_fraction = to_f64(key, value); return; }
-  if (key == "fault.link_class") {
-    if (value != "any" && value != "local" && value != "global") {
-      throw std::invalid_argument("config: bad fault.link_class '" + value +
-                                  "' (expected any|local|global)");
-    }
-    p.fault.link_class = value;
-    return;
-  }
-  if (key == "fault.flap_period") { p.fault.flap_period = to_i32(key, value); return; }
-  if (key == "fault.flap_down") { p.fault.flap_down = to_i32(key, value); return; }
-  if (key == "fault.router_fail_fraction") { p.fault.router_fail_fraction = to_f64(key, value); return; }
-  if (key == "fault.degrade_fraction") { p.fault.degrade_fraction = to_f64(key, value); return; }
-  if (key == "fault.degrade_latency") { p.fault.degrade_latency = to_i32(key, value); return; }
-  if (key == "fault.hop_cap") { p.fault.hop_cap = to_i32(key, value); return; }
-  // Telemetry (src/telemetry/telemetry_sink.hpp)
-  if (key == "telemetry.enabled") { p.telemetry.enabled = to_bool(key, value); return; }
-  if (key == "telemetry.sample_period") { p.telemetry.sample_period = to_i32(key, value); return; }
-  if (key == "telemetry.max_samples") { p.telemetry.max_samples = to_i32(key, value); return; }
-  // Packet tracing (src/telemetry/packet_trace.hpp)
-  if (key == "trace.enabled") { p.trace.enabled = to_bool(key, value); return; }
-  if (key == "trace.seed") { p.trace.seed = static_cast<std::uint64_t>(to_i32(key, value)); return; }
-  if (key == "trace.sample_rate") { p.trace.sample_rate = to_f64(key, value); return; }
-  if (key == "trace.max_events") { p.trace.max_events = to_i32(key, value); return; }
-  // Congestion notifications (src/routing/notification.hpp, ARN family)
-  if (key == "notify.enabled") { p.notify.enabled = to_bool(key, value); return; }
-  if (key == "notify.threshold") { p.notify.threshold = to_f64(key, value); return; }
-  if (key == "notify.update_period") { p.notify.update_period = to_i32(key, value); return; }
-  if (key == "notify.propagation_delay") { p.notify.propagation_delay = to_i32(key, value); return; }
-  if (key == "notify.expiry") { p.notify.expiry = to_i32(key, value); return; }
-  if (key == "notify.throttle_injection") { p.notify.throttle_injection = to_bool(key, value); return; }
-  // Engine (src/engine/simulator.hpp sharded execution)
-  if (key == "engine.threads") { p.engine.threads = to_i32(key, value); return; }
-  // Top level
-  if (key == "packet_size_phits") { p.packet_size_phits = to_i32(key, value); return; }
-  if (key == "seed") { p.seed = static_cast<std::uint64_t>(to_i32(key, value)); return; }
   throw std::invalid_argument("config: unknown key '" + key + "'");
+}
+
+std::string canonical_params_text(const SimParams& p) {
+  std::string out;
+  for (const Row& r : kRows) {
+    if (r.gate != nullptr && !r.gate(p)) continue;
+    out += r.key;
+    out += " = ";
+    out += r.format(p);
+    out += '\n';
+  }
+  return out;
 }
 
 SimParams load_params(const std::string& path, const SimParams& base) {

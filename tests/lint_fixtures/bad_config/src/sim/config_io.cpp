@@ -1,19 +1,10 @@
-// Seeded CHK-CONFIG violation: `router.undocumented` is parsed here but is
-// neither documented in docs/CONFIG.md nor emitted by the canonical
-// serialization in src/report/schema.cpp.
+// Seeded CHK-CONFIG violation: `router.undocumented` has a row in the
+// parameter table but is not documented in docs/CONFIG.md.
 namespace dfsim {
 
-bool apply_param(SimParams& p, const std::string& key,
-                 const std::string& value) {
-  if (key == "router.vcs") {
-    p.router.vcs = parse_i32(value);
-    return true;
-  }
-  if (key == "router.undocumented") {  // VIOLATION
-    p.router.undocumented = parse_i32(value);
-    return true;
-  }
-  return false;
-}
+constexpr Row kRows[] = {
+    ROW(router.vcs),
+    ROW(router.undocumented),  // VIOLATION
+};
 
 }  // namespace dfsim

@@ -6,7 +6,9 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "report/schema.hpp"
 #include "sim/config_io.hpp"
 
 namespace {
@@ -115,6 +117,34 @@ int main() {
       threw = true;
     }
     assert(threw);
+
+    // A number must parse whole and fit its field; the error names the key.
+    for (const auto& [key, value] :
+         {std::pair{"router.speedup", "4294967298"},
+          std::pair{"router.speedup", "3abc"},
+          std::pair{"traffic.load", "0.3.5"}, std::pair{"seed", "-1"}}) {
+      std::string what;
+      try {
+        apply_param(p, key, value);
+      } catch (const std::invalid_argument& e) {
+        what = e.what();
+      }
+      assert(what.find(key) != std::string::npos);
+    }
+
+    // 64-bit seeds and cycles are kept exactly, and the canonical text
+    // reloads them to the same hash.
+    SimParams wide = presets::tiny();
+    apply_param(wide, "seed", "4294967297");
+    apply_param(wide, "fault.enabled", "true");
+    apply_param(wide, "fault.onset", "3000000000");
+    assert(wide.seed == 4294967297ull);
+    assert(wide.fault.onset == 3000000000);
+    const std::string path = write_temp(canonical_params_text(wide));
+    const SimParams reloaded = load_params(path, presets::tiny());
+    std::remove(path.c_str());
+    assert(reloaded.seed == wide.seed);
+    assert(report::config_hash(reloaded) == report::config_hash(wide));
   }
 
   return EXIT_SUCCESS;

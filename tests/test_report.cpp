@@ -4,9 +4,12 @@
 // deliberately corrupted golden must fail while the pristine one passes.
 #include <cassert>
 #include <cmath>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "report/json.hpp"
 #include "report/parity.hpp"
@@ -200,6 +203,67 @@ void test_config_hash() {
   std::cout << "config hash ok (tiny = " << config_hash(a) << ")\n";
 }
 
+// Pinned config hashes of presets and of configs with each gated row on:
+// goldens, RESULTS.md headers and benchmark digests carry these, so a move
+// here must be deliberate.
+void test_pinned_config_hashes() {
+  using Sets = std::initializer_list<std::pair<const char*, const char*>>;
+  auto tiny_with = [](Sets sets) {
+    SimParams p = presets::tiny();
+    for (const auto& [key, value] : sets) apply_param(p, key, value);
+    return p;
+  };
+  const std::tuple<const char*, SimParams, std::string> pinned[] = {
+      {"tiny", presets::tiny(), "86c575540ba2194a"},
+      {"small", presets::small(), "45f45c08ad93e136"},
+      {"medium", presets::medium(), "e3dd6a44e1109c35"},
+      {"paper", presets::paper(), "4f765c924dc9db04"},
+      {"exa", presets::exa(), "2712104a6ec344b2"},
+      {"fbfly(3,2,2)", presets::fbfly(3, 2, 2), "aff1f9a578dc3d73"},
+      {"torus(4,2,2)", presets::torus(4, 2, 2), "1c8c5fac86c4fe3e"},
+      {"tiny+faults",
+       tiny_with({{"fault.enabled", "true"},
+                  {"fault.seed", "42"},
+                  {"fault.onset", "100"},
+                  {"fault.link_fail_fraction", "0.25"},
+                  {"fault.link_class", "global"},
+                  {"fault.flap_period", "50"},
+                  {"fault.flap_down", "10"},
+                  {"fault.router_fail_fraction", "0.05"},
+                  {"fault.degrade_fraction", "0.1"},
+                  {"fault.degrade_latency", "4"},
+                  {"fault.hop_cap", "32"}}),
+       "d23016254515eb3f"},
+      {"tiny+telemetry",
+       tiny_with({{"telemetry.enabled", "true"},
+                  {"telemetry.sample_period", "50"}}),
+       "f6b4452fc0d20e06"},
+      {"tiny+trace",
+       tiny_with({{"trace.enabled", "true"},
+                  {"trace.seed", "7"},
+                  {"trace.sample_rate", "0.5"}}),
+       "bef2d3e866e2fde2"},
+      {"tiny+threads4", tiny_with({{"engine.threads", "4"}}),
+       "21e3772c03be2a3a"},
+      {"tiny+trace_path", tiny_with({{"traffic.trace_path", "run.dftrace"}}),
+       "5b9bf0c2723171a1"},
+      {"tiny+ARN",
+       tiny_with({{"routing.kind", "ARN"},
+                  {"notify.threshold", "0.4"},
+                  {"notify.throttle_injection", "true"}}),
+       "5a64b9bc42c98206"},
+  };
+  for (const auto& [name, params, hash] : pinned) {
+    if (config_hash(params) != hash) {
+      std::cerr << name << ": config hash " << config_hash(params)
+                << " != pinned " << hash << "\n"
+                << canonical_params_text(params);
+    }
+    assert(config_hash(params) == hash);
+  }
+  std::cout << "pinned config hashes ok\n";
+}
+
 void test_trend_gates() {
   const ResultsDoc good = make_test_doc();
   {
@@ -315,6 +379,7 @@ int main() {
   test_json_roundtrip();
   test_schema_roundtrip();
   test_config_hash();
+  test_pinned_config_hashes();
   test_trend_gates();
   test_golden_gates();
   test_registry_and_render();

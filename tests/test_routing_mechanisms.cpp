@@ -94,7 +94,6 @@ bool kind_supported(TopologyKind topo, RoutingKind kind) {
 SteadyResult run_point(TopologyKind topo, RoutingKind kind) {
   SimParams p = base_params(topo);
   p.routing.kind = kind;
-  if (kind == RoutingKind::kArn) p.notify.enabled = true;
   p.traffic.kind = TrafficKind::kAdversarial;
   p.traffic.load = 0.3;
   p.traffic.adv_offset = topo == TopologyKind::kTorus ? 4 : 1;
@@ -174,7 +173,7 @@ int main(int argc, char** argv) {
     }
     SimParams p = presets::tiny();
     p.routing.kind = kind;
-    const std::string text = report::canonical_params_text(p);
+    const std::string text = canonical_params_text(p);
     if (text.find("routing.kind = " + name) == std::string::npos) {
       std::fprintf(stderr, "canonical text does not name %s\n", name.c_str());
       return EXIT_FAILURE;
@@ -211,19 +210,6 @@ int main(int argc, char** argv) {
   {
     SimParams p = base_params(TopologyKind::kTorus);
     p.routing.kind = RoutingKind::kCbEctn;
-    bool threw = false;
-    try {
-      Simulator sim(p);
-    } catch (const std::invalid_argument&) {
-      threw = true;
-    }
-    assert(threw);
-  }
-  // ARN requires the notification plane: kArn with notify.enabled unset
-  // would silently degenerate to MIN, so the factory refuses it.
-  {
-    SimParams p = presets::tiny();
-    p.routing.kind = RoutingKind::kArn;
     bool threw = false;
     try {
       Simulator sim(p);

@@ -65,10 +65,8 @@ RunCapture run_once(std::int32_t threads, std::int32_t jitter_us,
   Simulator::debug_set_shard_jitter(jitter_us);
   SimParams p = presets::tiny();
   p.routing.kind = kind;
-  if (kind == RoutingKind::kArn) {
-    p.notify.enabled = true;
-    p.notify.throttle_injection = true;  // exercises the refusal path too
-  }
+  // ARN runs with the throttle, to exercise the refusal path too.
+  if (kind == RoutingKind::kArn) p.notify.throttle_injection = true;
   p.traffic.kind = TrafficKind::kAdversarial;
   p.traffic.load = 0.35;
   p.traffic.adv_offset = 1;
@@ -97,10 +95,7 @@ RunCapture run_dispatched(std::int32_t threads, RoutingKind kind,
                           bool profile = false) {
   SimParams p = presets::tiny();
   p.routing.kind = kind;
-  if (kind == RoutingKind::kArn) {
-    p.notify.enabled = true;
-    p.notify.throttle_injection = true;
-  }
+  if (kind == RoutingKind::kArn) p.notify.throttle_injection = true;
   p.traffic.kind = TrafficKind::kAdversarial;
   p.traffic.load = 0.35;
   p.traffic.adv_offset = 1;

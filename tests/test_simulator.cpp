@@ -170,9 +170,10 @@ int main() {
   }
 
   // A port class with no VC is rejected up front, naming the key (it would
-  // otherwise route onto VC -1 and read outside the queue arrays).
-  for (const char* key :
-       {"router.vcs_local", "router.vcs_global", "router.vcs_injection"}) {
+  // otherwise route onto VC -1 and read outside the queue arrays), and so is
+  // a speedup below 1 (no allocator iteration would run).
+  for (const char* key : {"router.vcs_local", "router.vcs_global",
+                          "router.vcs_injection", "router.speedup"}) {
     for (const char* bad : {"0", "-1"}) {
       SimParams p = presets::tiny();
       apply_param(p, key, bad);

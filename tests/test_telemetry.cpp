@@ -141,14 +141,14 @@ void test_zero_alloc_with_telemetry() {
 // enabled, and loadable back through the INI path when present.
 void test_config_hash_gating() {
   const SimParams plain = base_params();
-  const std::string text = report::canonical_params_text(plain);
+  const std::string text = canonical_params_text(plain);
   assert(text.find("telemetry.") == std::string::npos);
   assert(text.find("trace.") == std::string::npos);
 
   SimParams enabled = plain;
   enabled.telemetry.enabled = true;
   enabled.trace.enabled = true;
-  const std::string enabled_text = report::canonical_params_text(enabled);
+  const std::string enabled_text = canonical_params_text(enabled);
   assert(enabled_text.find("telemetry.enabled = true") != std::string::npos);
   assert(enabled_text.find("telemetry.sample_period") != std::string::npos);
   assert(enabled_text.find("trace.sample_rate") != std::string::npos);

@@ -26,12 +26,12 @@ Mechanizes the hand-enforced disciplines documented in ARCHITECTURE.md
               sites carry an inline `// dfsim-check: allow(CHK-ALLOC): why`
               waiver.
 
-  CHK-CONFIG  Every INI key parsed by src/sim/config_io.cpp is documented in
-              docs/CONFIG.md and emitted by the canonical serialization in
-              src/report/schema.cpp (and vice versa), and hash-gated key
-              groups (fault.* / telemetry.* / trace.*) are emitted only
-              inside their `enabled` guard, so healthy config hashes never
-              move (invariant 5).
+  CHK-CONFIG  Every row of the parameter table in src/sim/config_io.cpp
+              (one row per INI key; parsing and the canonical text both
+              read it) is documented in docs/CONFIG.md, and the hash-gated
+              groups (fault.* / telemetry.* / trace.* / notify.*) carry
+              their group's gate, so configs that leave an axis off never
+              change hash (invariant 5).
 
   CHK-SCHEMA  Every field literal written by src/report/schema.cpp is
               documented in docs/SCHEMA.md for the *current* schema version
@@ -150,9 +150,10 @@ CONFIG_DOC = "docs/CONFIG.md"
 SCHEMA_DOC = "docs/SCHEMA.md"
 
 # Key groups that enter the canonical params text (and therefore the config
-# hash) only when their subsystem is enabled — the emit-only-when-enabled
-# list. Everything else must be emitted unconditionally.
-HASH_GATED_PREFIXES = ("fault.", "telemetry.", "trace.", "notify.")
+# hash) only when their axis is on, with the gate each of their table rows
+# must carry. Every other row is unconditional.
+HASH_GATED_PREFIXES = {"fault.": "fault_on", "telemetry.": "telemetry_on",
+                       "trace.": "trace_on", "notify.": "notify_on"}
 # Keys allowed to be conditionally emitted without being hash-gated groups
 # (trace_path is omitted when empty: an absent path is the same run;
 # engine.threads is omitted at its default of 1 so every pre-sharding
@@ -786,39 +787,25 @@ class Analysis:
 
     # --- CHK-CONFIG
 
-    def parsed_config_keys(self) -> dict[str, int]:
+    def config_rows(self) -> dict[str, tuple[int, str | None]]:
+        """Key -> (line, gate name or None) for each ROW(...) entry."""
         src = self.load(CONFIG_IO)
         if src is None:
             return {}
-        keys: dict[str, int] = {}
-        for m in re.finditer(r'key\s*==\s*"([A-Za-z0-9_.]+)"', src.nocomments):
-            keys.setdefault(m.group(1), src.line_of(m.start()))
-        return keys
-
-    def canonical_keys(self) -> dict[str, tuple[int, int]]:
-        """Key -> (line, offset-in-body) for canonical_params_text emissions."""
-        src = self.load(SCHEMA_CPP)
-        if src is None:
-            return {}
-        fn = self.find_function(SCHEMA_CPP, "canonical_params_text")
-        if fn is None:
-            return {}
-        body = src.nocomments[fn.body_start:fn.body_end]
-        out: dict[str, tuple[int, int]] = {}
+        rows: dict[str, tuple[int, str | None]] = {}
         for m in re.finditer(
-                r'\b(?:line|i32|f64|boolean)\s*\(\s*"([A-Za-z0-9_.]+)"', body):
-            out.setdefault(m.group(1),
-                           (src.line_of(fn.body_start + m.start()), m.start()))
-        self._canonical_fn = fn
-        return out
+                r"(?<!define )\bROW\(\s*([A-Za-z0-9_.]+)\s*"
+                r"(?:,\s*(\w+))?",
+                src.nocomments):
+            rows.setdefault(m.group(1), (src.line_of(m.start()), m.group(2)))
+        return rows
 
     def check_config(self):
-        parsed = self.parsed_config_keys()
-        if not parsed:
+        rows = self.config_rows()
+        if not rows:
             self.fail("CHK-CONFIG", CONFIG_IO, 1,
-                      "no parsed INI keys found (apply_param missing?)")
+                      "no parameter table rows found (ROW(...) missing?)")
             return
-        canonical = self.canonical_keys()
         doc_src = self.load(CONFIG_DOC)
         doc_keys: set[str] = set()
         if doc_src is None:
@@ -827,48 +814,29 @@ class Analysis:
             doc_keys = set(re.findall(r"`([A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)?)`",
                                       doc_src.raw))
 
-        for key, line in sorted(parsed.items()):
+        for key, (line, gate) in sorted(rows.items()):
             if doc_src is not None and key not in doc_keys:
                 self.fail("CHK-CONFIG", CONFIG_IO, line,
                           f"INI key `{key}` is parsed but not documented in "
                           f"{CONFIG_DOC}")
-            if canonical and key not in canonical:
+            # Hash-gating: gated groups carry their group's gate, and nothing
+            # else is conditional.
+            want = next((g for p, g in HASH_GATED_PREFIXES.items()
+                         if key.startswith(p)), None)
+            if want is not None:
+                if gate != want:
+                    self.fail("CHK-CONFIG", CONFIG_IO, line,
+                              f"hash-gated key `{key}` must carry the gate "
+                              f"`{want}` so configs with its axis off keep "
+                              "their hash")
+            elif gate not in (None, "nullptr") and \
+                    key not in CONDITIONAL_KEY_EXEMPT:
                 self.fail("CHK-CONFIG", CONFIG_IO, line,
-                          f"INI key `{key}` is parsed but missing from the "
-                          "canonical serialization (config hashes cannot see "
-                          "it) — add it to canonical_params_text")
-        for key, (line, _off) in sorted(canonical.items()):
-            if key not in parsed:
-                self.fail("CHK-CONFIG", SCHEMA_CPP, line,
-                          f"canonical serialization emits `{key}` which "
-                          "config_io.cpp does not parse: canonical text must "
-                          "reload as INI")
-
-        # Hash-gating: gated groups only under their `enabled` guard,
-        # everything else unconditional.
-        if canonical:
-            fn = self._canonical_fn
-            src = self.files[SCHEMA_CPP]
-            body = src.nostrings[fn.body_start:fn.body_end]
-            for key, (line, off) in sorted(canonical.items()):
-                cond = enclosing_conditions(body, off)
-                prefix = next((p for p in HASH_GATED_PREFIXES
-                               if key.startswith(p)), None)
-                if prefix is not None:
-                    want = prefix + "enabled"
-                    if want not in cond:
-                        self.fail("CHK-CONFIG", SCHEMA_CPP, line,
-                                  f"hash-gated key `{key}` must be emitted "
-                                  f"only under `if (p.{want})` so disabled "
-                                  "configs keep their hash")
-                elif "if" in cond.split("(")[0] or re.search(r"\bif\b", cond):
-                    if key not in CONDITIONAL_KEY_EXEMPT:
-                        self.fail("CHK-CONFIG", SCHEMA_CPP, line,
-                                  f"key `{key}` is emitted conditionally but "
-                                  "is not on the emit-only-when-enabled list "
-                                  "(HASH_GATED_PREFIXES / "
-                                  "CONDITIONAL_KEY_EXEMPT): conditional "
-                                  "emission silently forks config hashes")
+                          f"key `{key}` is emitted conditionally "
+                          f"(gate `{gate}`) but is not on the "
+                          "emit-only-when-enabled list (HASH_GATED_PREFIXES / "
+                          "CONDITIONAL_KEY_EXEMPT): conditional emission "
+                          "silently forks config hashes")
 
     # --- CHK-SCHEMA
 

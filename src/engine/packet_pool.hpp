@@ -5,7 +5,9 @@
 // `flags` without dragging src/birth cache lines along). Freed indices are
 // recycled; the arrays only grow while the in-flight population is still
 // climbing toward steady state, and every growth bumps `grow_events` so the
-// zero-allocation-after-warmup property is testable.
+// zero-allocation-after-warmup property is testable. A sharded engine keeps
+// one pool per shard: a packet crossing shards leaves its id behind and
+// travels as a State value (load/store).
 #pragma once
 
 #include <cstdint>
@@ -46,31 +48,39 @@ class PacketPool {
 
   void release(std::int32_t id) { free_.push_back(id); }
 
-  void reset_packet(std::int32_t id) {
-    target_router[static_cast<std::size_t>(id)] = -1;
-    via_port[static_cast<std::size_t>(id)] = -1;
-    g_hops[static_cast<std::size_t>(id)] = 0;
-    hops[static_cast<std::size_t>(id)] = 0;
-    flags[static_cast<std::size_t>(id)] = 0;
+  /// A packet's whole state by value: every SoA field, in one place, so a
+  /// cross-shard link send carries exactly what the pool stores.
+  struct State {
+    Cycle birth = 0;
+    NodeId src = 0;
+    NodeId dst = 0;
+    RouterId target_router = -1;
+    std::int16_t via_port = -1;
+    std::uint16_t hops = 0;
+    std::int8_t g_hops = 0;
+    std::uint8_t flags = 0;
+  };
+
+  [[nodiscard]] State load(std::int32_t id) const {
+    const auto i = static_cast<std::size_t>(id);
+    return State{birth[i],    src[i],  dst[i],    target_router[i],
+                 via_port[i], hops[i], g_hops[i], flags[i]};
   }
 
-  /// Size every SoA array to exactly `n` slots, bypassing the free list.
-  /// Sharded (threads > 1) runs use this: the arrays must never reallocate
-  /// while worker threads hold references into them, so each shard draws ids
-  /// from its own disjoint range (see Simulator::build_shards) and
-  /// allocate()/release() go unused.
-  void resize_slots(std::size_t n) {
-    src.resize(n, 0);
-    dst.resize(n, 0);
-    birth.resize(n, 0);
-    target_router.resize(n, -1);
-    via_port.resize(n, -1);
-    g_hops.resize(n, 0);
-    hops.resize(n, 0);
-    flags.resize(n, 0);
+  void store(std::int32_t id, const State& s) {
+    const auto i = static_cast<std::size_t>(id);
+    src[i] = s.src;
+    dst[i] = s.dst;
+    birth[i] = s.birth;
+    target_router[i] = s.target_router;
+    via_port[i] = s.via_port;
+    g_hops[i] = s.g_hops;
+    hops[i] = s.hops;
+    flags[i] = s.flags;
   }
 
-  /// Preallocate capacity for `n` packets (and the free list) up front.
+  /// Preallocate capacity for `n` packets (and the free list) up front. The
+  /// pages stay untouched until packets first use them.
   void reserve(std::size_t n) {
     src.reserve(n);
     dst.reserve(n);
@@ -83,7 +93,6 @@ class PacketPool {
     free_.reserve(n);
   }
 
-  [[nodiscard]] std::size_t capacity() const { return src.size(); }
   [[nodiscard]] std::size_t in_use() const { return src.size() - free_.size(); }
 
   // SoA fields, indexed by packet id.

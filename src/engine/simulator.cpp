@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -94,8 +95,8 @@ Simulator::Simulator(const SimParams& params,
     telemetry_next_sample_ = sink_.sample_period() - 1;
   }
   if (params_.trace.enabled) {
-    // Sized to the pool's structural bound (set by build_layout's reserve):
-    // every live packet id indexes the tracer's slot map directly.
+    // Sized to the pool's structural bound (build_shards' reserve; tracing
+    // runs one shard): every live packet id indexes the slot map directly.
     trace_on_ = true;
     tracer_.configure(params_.trace, params_.seed,
                       slab_.size() + ring_slab_.size());
@@ -154,25 +155,39 @@ void Simulator::build_layout() {
         }
         q_offset_[static_cast<std::size_t>(q)] = offset;
         q_cap_[static_cast<std::size_t>(q)] = cap;
-        q_free_[static_cast<std::size_t>(q)] = cap;
+        if (ip >= fwd_) q_free_[static_cast<std::size_t>(q)] = cap;
         offset += cap;
       }
     }
   }
   slab_.assign(static_cast<std::size_t>(offset), kInvalidPacket);
 
-  // Output-side tables.
+  // Port tables. A link's downstream queues start out with cap free slots,
+  // counted at the upstream output port that spends them; every forward
+  // input port is fed by exactly one link.
   const auto n_out = static_cast<std::size_t>(routers) *
                      static_cast<std::size_t>(radix_);
   out_busy_until_.assign(n_out, 0);
-  down_queue_base_.assign(n_out, -1);
+  down_port_.assign(n_out, -1);
+  credit_port_.assign(n_out, -1);
   link_delay_.assign(n_out, 0);
   for (RouterId r = 0; r < routers; ++r) {
-    for (PortIndex port = 0; port < fwd_; ++port) {
+    for (PortIndex port = 0; port < radix_; ++port) {
       const std::size_t idx = static_cast<std::size_t>(flat_port(r, port));
-      const RouterId peer = topo_.peer(r, port);
-      const PortIndex peer_port = topo_.peer_port(r, port);
-      down_queue_base_[idx] = queue_index(peer, peer_port, 0);
+      if (port >= fwd_) {
+        credit_port_[idx] = static_cast<std::int32_t>(idx);
+        continue;
+      }
+      const std::int32_t down =
+          flat_port(topo_.peer(r, port), topo_.peer_port(r, port));
+      assert(credit_port_[static_cast<std::size_t>(down)] == -1);
+      down_port_[idx] = down;
+      credit_port_[static_cast<std::size_t>(down)] =
+          static_cast<std::int32_t>(idx);
+      for (VcIndex vc = 0; vc < vmax_; ++vc) {
+        q_free_[credit_index(idx, vc)] =
+            q_cap_[static_cast<std::size_t>(down * vmax_ + vc)];
+      }
       const std::int32_t lat =
           topo_.port_class(port) == PortClass::kLocalClass
               ? params_.link.local_latency
@@ -197,28 +212,38 @@ void Simulator::build_layout() {
                            static_cast<std::size_t>(queue_words_per_router_),
                        0);
 
-  // Per-link in-flight rings: sends on a link are spaced >= psize cycles
-  // apart and stay on it for link_delay cycles, so delay/psize + 2 slots is
-  // a strict capacity bound.
-  ring_offset_.assign(n_out, 0);
-  ring_cap_.assign(n_out, 0);
-  ring_head_.assign(n_out, 0);
-  ring_count_.assign(n_out, 0);
-  std::int32_t ring_total = 0;
-  std::int32_t max_flight = 0;
-  for (RouterId r = 0; r < routers; ++r) {
-    for (PortIndex port = 0; port < fwd_; ++port) {
-      const std::size_t idx = static_cast<std::size_t>(flat_port(r, port));
-      // Degraded links hold packets up to max_extra_latency longer.
-      const std::int32_t extra = fault_on_ ? fault_.max_extra_latency() : 0;
-      const std::int32_t cap = (link_delay_[idx] + extra) / psize_ + 2;
-      ring_offset_[idx] = ring_total;
-      ring_cap_[idx] = cap;
-      ring_total += cap;
-      max_flight = std::max(max_flight, link_delay_[idx] + extra);
+  // Shard partition (every shard count; the rings are laid out by it).
+  shard_of_router_.assign(static_cast<std::size_t>(routers), 0);
+  for (std::int32_t i = 0; i < n_shards_; ++i) {
+    for (RouterId r = shard_begin(i); r < shard_begin(i + 1); ++r) {
+      shard_of_router_[static_cast<std::size_t>(r)] = i;
     }
   }
-  ring_slab_.assign(static_cast<std::size_t>(ring_total), LinkEvent{});
+
+  // Per-link in-flight rings: sends on a link are spaced >= psize cycles
+  // apart and stay on it for link_delay cycles, so delay/psize + 2 slots is
+  // a strict capacity bound. The slab holds one block per shard, each with
+  // the rings that shard owns (downstream router's shard) in link order;
+  // with one shard it is plain link order.
+  ring_span_.assign(n_out, RingSpan{});
+  std::vector<std::int32_t> block(static_cast<std::size_t>(n_shards_) + 1, 0);
+  std::int32_t max_flight = 0;
+  for (std::size_t l = 0; l < n_out; ++l) {
+    if (down_port_[l] < 0) continue;
+    // Degraded links hold packets up to max_extra_latency longer.
+    const std::int32_t extra = fault_on_ ? fault_.max_extra_latency() : 0;
+    ring_span_[l].cap = (link_delay_[l] + extra) / psize_ + 2;
+    block[static_cast<std::size_t>(ring_owner(l)) + 1] += ring_span_[l].cap;
+    max_flight = std::max(max_flight, link_delay_[l] + extra);
+  }
+  std::partial_sum(block.begin(), block.end(), block.begin());
+  for (std::size_t l = 0; l < n_out; ++l) {
+    if (down_port_[l] < 0) continue;
+    std::int32_t& next = block[static_cast<std::size_t>(ring_owner(l))];
+    ring_span_[l].offset = next;
+    next += ring_span_[l].cap;
+  }
+  ring_slab_.assign(static_cast<std::size_t>(block.back()), LinkEvent{});
 
   // Timing-wheel shape (the per-shard buckets are zeroed in build_shards).
   wheel_mask_ = static_cast<Cycle>(
@@ -226,10 +251,6 @@ void Simulator::build_layout() {
   const std::size_t link_words = (n_out + 63) / 64;
   wheel_sum_words_ = (link_words + 63) / 64;
   wheel_stride_ = wheel_sum_words_ + link_words;
-
-  // Preallocate the packet pool to its structural upper bound: every packet
-  // is either in some queue slot or on some link ring.
-  pool_.reserve(slab_.size() + static_cast<std::size_t>(ring_total));
 }
 
 void Simulator::build_shards() {
@@ -239,7 +260,6 @@ void Simulator::build_shards() {
                      static_cast<std::size_t>(radix_);
 
   if (n_shards_ > 1) {
-    shard_of_router_.assign(static_cast<std::size_t>(routers), 0);
     // Snapshot-based remote probes exist only for mechanisms that declare
     // them (the idealized-global estimate and Piggyback's remote link-state
     // flag).
@@ -247,14 +267,20 @@ void Simulator::build_shards() {
     if (snap_on_) occ_snap_.assign(n_out, 0);
   }
 
+  // Ring slots each shard owns: its pool's share of the slab.
+  std::vector<std::size_t> ring_slots(static_cast<std::size_t>(n_shards_), 0);
+  for (std::size_t l = 0; l < n_out; ++l) {
+    if (down_port_[l] < 0) continue;
+    ring_slots[static_cast<std::size_t>(ring_owner(l))] +=
+        static_cast<std::size_t>(ring_span_[l].cap);
+  }
+
   shards_.reserve(static_cast<std::size_t>(n_shards_));
   for (std::int32_t i = 0; i < n_shards_; ++i) {
     // Contiguous balanced ranges; boundaries need not be 64-aligned because
     // each shard's summary mask is indexed by (r - r_lo).
-    const auto r_lo = static_cast<RouterId>(
-        static_cast<std::int64_t>(routers) * i / n_shards_);
-    const auto r_hi = static_cast<RouterId>(
-        static_cast<std::int64_t>(routers) * (i + 1) / n_shards_);
+    const RouterId r_lo = shard_begin(i);
+    const RouterId r_hi = shard_begin(i + 1);
     Shard sh;
     sh.index = i;
     sh.r_lo = r_lo;
@@ -269,12 +295,18 @@ void Simulator::build_shards() {
     sh.traffic = std::make_unique<TrafficModel>(
         params_.traffic, topo_.traffic_info(), params_.packet_size_phits,
         seed);
-    if (n_shards_ > 1) {
-      sh.traffic->restrict_nodes(sh.n_lo, sh.n_hi);
-      for (RouterId r = r_lo; r < r_hi; ++r) {
-        shard_of_router_[static_cast<std::size_t>(r)] = i;
-      }
-    }
+    if (n_shards_ > 1) sh.traffic->restrict_nodes(sh.n_lo, sh.n_hi);
+    // Every packet a shard holds sits in one of its queue slots (a range of
+    // the router-ordered queue slab) or ring slots (its slab block). With
+    // one shard this is the whole structural bound.
+    const auto queue_slots_before = [&](RouterId r) {
+      return r < routers ? static_cast<std::size_t>(q_offset_[
+                               static_cast<std::size_t>(queue_index(r, 0, 0))])
+                         : slab_.size();
+    };
+    sh.pool.reserve(queue_slots_before(r_hi) - queue_slots_before(r_lo) +
+                    ring_slots[static_cast<std::size_t>(i)]);
+    sh.rings.assign(n_out, RingCursor{});
     sh.request_batch.reserve(radix_, vmax_);
     sh.router_active.assign(
         static_cast<std::size_t>((r_hi - r_lo + 63) / 64), 0);
@@ -292,64 +324,18 @@ void Simulator::build_shards() {
   if (n_shards_ == 1) return;
 
   // Ownership tables, derived from the wiring rather than topology
-  // symmetry assumptions: the credit counter of queue block (r, ip) belongs
-  // to whichever shard departs packets into it (the upstream router), and a
-  // link's in-flight ring belongs to the downstream router's shard.
+  // symmetry assumptions: the credit counter of input port p belongs to
+  // whichever shard departs packets into it (the router of credit_port_[p]),
+  // and a link's in-flight ring belongs to the downstream router's shard.
   credit_owner_.assign(n_out, 0);
   link_owner_.assign(n_out, 0);
-  for (RouterId r = 0; r < routers; ++r) {
-    const std::int32_t own = shard_of_router_[static_cast<std::size_t>(r)];
-    for (PortIndex ip = 0; ip < radix_; ++ip) {
-      credit_owner_[static_cast<std::size_t>(flat_port(r, ip))] = own;
-    }
-  }
-  for (RouterId r = 0; r < routers; ++r) {
-    const std::int32_t own = shard_of_router_[static_cast<std::size_t>(r)];
-    for (PortIndex out = 0; out < fwd_; ++out) {
-      const std::size_t flat = static_cast<std::size_t>(flat_port(r, out));
-      const std::int32_t down_port = down_queue_base_[flat] / vmax_;
-      credit_owner_[static_cast<std::size_t>(down_port)] = own;
-      link_owner_[flat] = shard_of_router_[static_cast<std::size_t>(
-          down_queue_base_[flat] / (radix_ * vmax_))];
-    }
+  for (std::size_t p = 0; p < n_out; ++p) {
+    credit_owner_[p] =
+        shard_of_router_[static_cast<std::size_t>(credit_port_[p] / radix_)];
+    if (down_port_[p] >= 0) link_owner_[p] = ring_owner(p);
   }
 
-  // Sharded packet-id ranges: the pool arrays are sized once to the
-  // structural bound (they must never reallocate under worker references),
-  // and each shard gets the ids backing its own queue slots and owned link
-  // rings — exactly enough that the shard can never hold more packets than
-  // ids. The free lists are filled descending so pop_back hands out
-  // ascending ids, and each id returns to its range owner via kFreeId.
-  const std::size_t total = slab_.size() + ring_slab_.size();
-  pool_.resize_slots(total);
-  std::vector<std::int64_t> share(static_cast<std::size_t>(n_shards_), 0);
-  for (std::int32_t i = 0; i < n_shards_; ++i) {
-    const Shard& sh = shards_[static_cast<std::size_t>(i)];
-    const std::int64_t slab_lo =
-        q_offset_[static_cast<std::size_t>(queue_index(sh.r_lo, 0, 0))];
-    const std::int64_t slab_hi =
-        sh.r_hi < routers
-            ? q_offset_[static_cast<std::size_t>(queue_index(sh.r_hi, 0, 0))]
-            : static_cast<std::int64_t>(slab_.size());
-    share[static_cast<std::size_t>(i)] = slab_hi - slab_lo;
-  }
-  for (std::size_t l = 0; l < n_out; ++l) {
-    share[static_cast<std::size_t>(link_owner_[l])] += ring_cap_[l];
-  }
-  shard_id_base_.assign(static_cast<std::size_t>(n_shards_) + 1, 0);
-  for (std::int32_t i = 0; i < n_shards_; ++i) {
-    shard_id_base_[static_cast<std::size_t>(i) + 1] =
-        shard_id_base_[static_cast<std::size_t>(i)] +
-        static_cast<std::int32_t>(share[static_cast<std::size_t>(i)]);
-  }
-  assert(static_cast<std::size_t>(shard_id_base_.back()) == total);
-
-  for (std::int32_t i = 0; i < n_shards_; ++i) {
-    Shard& sh = shards_[static_cast<std::size_t>(i)];
-    const std::int32_t lo = shard_id_base_[static_cast<std::size_t>(i)];
-    const std::int32_t hi = shard_id_base_[static_cast<std::size_t>(i) + 1];
-    sh.free_ids.reserve(static_cast<std::size_t>(hi - lo));
-    for (std::int32_t id = hi - 1; id >= lo; --id) sh.free_ids.push_back(id);
+  for (Shard& sh : shards_) {
     // Reserving these at one shard too, after the per-queue arrays, raised
     // registry_medium peak RSS ~13% through heap placement alone.
     for (std::vector<Mailbox>& boxes : sh.outbox) {
@@ -409,15 +395,15 @@ void Simulator::push_queue(Shard& sh, std::int32_t q, std::int32_t packet) {
 }
 
 std::int32_t Simulator::pop_queue(Shard& sh, std::int32_t q,
-                                  std::int32_t port) {
+                                  std::int32_t port, VcIndex vc) {
   const auto qi = static_cast<std::size_t>(q);
   assert(q_size_[qi] > 0);
-  assert(port == q / vmax_);
+  assert(q == port * vmax_ + vc);
   const std::int32_t packet =
       slab_[static_cast<std::size_t>(q_offset_[qi] + q_head_[qi])];
   q_head_[qi] = (q_head_[qi] + 1) % q_cap_[qi];
   --q_size_[qi];
-  return_credit(sh, q, port);
+  return_credit(sh, port, vc);
   if (q_size_[qi] > 0) {
     on_new_head(sh, q);
   } else {
@@ -426,17 +412,20 @@ std::int32_t Simulator::pop_queue(Shard& sh, std::int32_t q,
   return packet;
 }
 
-void Simulator::return_credit(Shard& sh, std::int32_t q, std::int32_t port) {
+void Simulator::return_credit(Shard& sh, std::int32_t port, VcIndex vc) {
   // The credit belongs to the upstream shard; a remote owner gets it through
   // its inbox at its next merge (the one-cycle credit delay documented in
   // ARCHITECTURE.md).
+  const std::size_t c = credit_index(
+      static_cast<std::size_t>(credit_port_[static_cast<std::size_t>(port)]),
+      vc);
   if (owns_credit(sh, port)) {
-    ++q_free_[static_cast<std::size_t>(q)];
+    ++q_free_[c];
     return;
   }
   ShardMessage m;
   m.kind = ShardMessage::Kind::kCredit;
-  m.queue = q;
+  m.queue = static_cast<std::int32_t>(c);
   push_msg(sh, credit_owner_[static_cast<std::size_t>(port)], m);
 }
 
@@ -447,14 +436,15 @@ void Simulator::on_new_head(Shard& sh, std::int32_t q) {
   const std::int32_t packet =
       slab_[static_cast<std::size_t>(q_offset_[qi] + q_head_[qi])];
   const auto pi = static_cast<std::size_t>(packet);
+  PacketPool& pool = sh.pool;
 
   // Valiant phase ending on arrival at the intermediate router (candidates
   // with via_port < 0; dragonfly phases end on the global hop instead).
-  if ((pool_.flags[pi] & PacketPool::kPhase0) && pool_.via_port[pi] < 0 &&
-      pool_.target_router[pi] == r) {
-    pool_.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kPhase0);
-    pool_.target_router[pi] = topo_.router_of_node(pool_.dst[pi]);
-    pool_.g_hops[pi] = topo_.phase_end_state(pool_.g_hops[pi]);
+  if ((pool.flags[pi] & PacketPool::kPhase0) && pool.via_port[pi] < 0 &&
+      pool.target_router[pi] == r) {
+    pool.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kPhase0);
+    pool.target_router[pi] = topo_.router_of_node(pool.dst[pi]);
+    pool.g_hops[pi] = topo_.phase_end_state(pool.g_hops[pi]);
   }
 
   if (trace_on_) {
@@ -462,15 +452,14 @@ void Simulator::on_new_head(Shard& sh, std::int32_t q) {
                        static_cast<std::uint8_t>(ip));
   }
 
-  if (ip >= fwd_ &&
-      !(pool_.flags[pi] & PacketPool::kRouted)) {
+  if (ip >= fwd_ && !(pool.flags[pi] & PacketPool::kRouted)) {
     decide_injection(sh, r, packet);
   }
   maybe_transit_misroute(sh, r, q, packet);
 
-  const PortIndex counted = topo_.minimal_output(r, pool_.dst[pi]);
+  const PortIndex counted = topo_.minimal_output(r, pool.dst[pi]);
   q_counted_[qi] = static_cast<std::int16_t>(counted);
-  q_request_[qi] = static_cast<std::int16_t>(routed_output(r, packet));
+  q_request_[qi] = static_cast<std::int16_t>(routed_output(pool, r, packet));
   q_wait_[qi] = 0;
   routing_->on_head(flat_port(r, counted));
 }
@@ -478,17 +467,18 @@ void Simulator::on_new_head(Shard& sh, std::int32_t q) {
 // ---------------------------------------------------------------------------
 // Routing decisions
 
-PortIndex Simulator::route_output(RouterId r, std::int32_t packet) const {
+PortIndex Simulator::route_output(const PacketPool& pool, RouterId r,
+                                  std::int32_t packet) const {
   const auto pi = static_cast<std::size_t>(packet);
   PortIndex out;
   RouterId target;
-  if (pool_.flags[pi] & PacketPool::kPhase0) {
-    target = pool_.target_router[pi];
-    out = r == target ? static_cast<PortIndex>(pool_.via_port[pi])
+  if (pool.flags[pi] & PacketPool::kPhase0) {
+    target = pool.target_router[pi];
+    out = r == target ? static_cast<PortIndex>(pool.via_port[pi])
                       : topo_.route_toward(r, target);
   } else {
-    target = topo_.router_of_node(pool_.dst[pi]);
-    out = topo_.minimal_output(r, pool_.dst[pi]);
+    target = topo_.router_of_node(pool.dst[pi]);
+    out = topo_.minimal_output(r, pool.dst[pi]);
   }
   if (fault_on_ && out >= 0 && out < fwd_ && !health_.link_up(r, out)) {
     // Preferred link is down: deterministic topology fallback (no RNG — a
@@ -499,19 +489,20 @@ PortIndex Simulator::route_output(RouterId r, std::int32_t packet) const {
   return out;
 }
 
-PortIndex Simulator::routed_output(RouterId r, std::int32_t packet) {
-  const PortIndex out = route_output(r, packet);
+PortIndex Simulator::routed_output(const PacketPool& pool, RouterId r,
+                                   std::int32_t packet) {
+  const PortIndex out = route_output(pool, r, packet);
   if (telemetry_on_ && fault_on_ && out >= 0) {
     // Re-derive the healthy-path preference; route_output only diverges
     // from it when it fell back around a dead link.
     const auto pi = static_cast<std::size_t>(packet);
     PortIndex pref;
-    if (pool_.flags[pi] & PacketPool::kPhase0) {
-      const RouterId target = pool_.target_router[pi];
-      pref = r == target ? static_cast<PortIndex>(pool_.via_port[pi])
+    if (pool.flags[pi] & PacketPool::kPhase0) {
+      const RouterId target = pool.target_router[pi];
+      pref = r == target ? static_cast<PortIndex>(pool.via_port[pi])
                          : topo_.route_toward(r, target);
     } else {
-      pref = topo_.minimal_output(r, pool_.dst[pi]);
+      pref = topo_.minimal_output(r, pool.dst[pi]);
     }
     if (pref != out) {
       sink_.count_misroute(r, telemetry::MisrouteCause::kFaultFallback);
@@ -522,12 +513,12 @@ PortIndex Simulator::routed_output(RouterId r, std::int32_t packet) {
 
 std::int32_t Simulator::occupancy_phits(RouterId r, PortIndex out) const {
   if (out >= fwd_) return 0;  // ejection: modeled as an ideal sink
-  const std::int32_t base =
-      down_queue_base_[static_cast<std::size_t>(flat_port(r, out))];
+  const auto flat = static_cast<std::size_t>(flat_port(r, out));
+  const std::int32_t down = down_port_[flat] * vmax_;
   std::int32_t occupied = 0;
   for (VcIndex vc = 0; vc < vmax_; ++vc) {
-    const auto qi = static_cast<std::size_t>(base + vc);
-    occupied += q_cap_[qi] - q_free_[qi];
+    occupied += q_cap_[static_cast<std::size_t>(down + vc)] -
+                q_free_[credit_index(flat, vc)];
   }
   return occupied * psize_;
 }
@@ -552,9 +543,8 @@ std::int32_t Simulator::free_credits(RouterId r, PortIndex out,
   // (r, out), clamped like vc_for; OLM's exact-blocked test reads this.
   const VcIndex cls = topo_.vc_class(r, out, vc_state, false);
   const VcIndex vcn = std::min<VcIndex>(cls, class_vcs(out) - 1);
-  const std::int32_t down =
-      down_queue_base_[static_cast<std::size_t>(flat_port(r, out))] + vcn;
-  return q_free_[static_cast<std::size_t>(down)];
+  return q_free_[credit_index(static_cast<std::size_t>(flat_port(r, out)),
+                              vcn)];
 }
 
 std::int32_t Simulator::fault_extra_latency(RouterId r, PortIndex out) const {
@@ -573,36 +563,37 @@ std::int32_t Simulator::port_capacity_phits(PortIndex out) const {
   return std::max(psize_, params_.router.buf_global_phits);
 }
 
-VcIndex Simulator::vc_for(RouterId r, PortIndex out,
+VcIndex Simulator::vc_for(const PacketPool& pool, RouterId r, PortIndex out,
                           std::int32_t packet) const {
   const auto pi = static_cast<std::size_t>(packet);
   const VcIndex cls =
-      topo_.vc_class(r, out, pool_.g_hops[pi],
-                     (pool_.flags[pi] & PacketPool::kPhase0) != 0);
+      topo_.vc_class(r, out, pool.g_hops[pi],
+                     (pool.flags[pi] & PacketPool::kPhase0) != 0);
   return std::min<VcIndex>(cls, class_vcs(out) - 1);
 }
 
-void Simulator::apply_global_misroute(std::int32_t packet,
+void Simulator::apply_global_misroute(PacketPool& pool, std::int32_t packet,
                                       const NonminCandidate& cand) {
   const auto pi = static_cast<std::size_t>(packet);
-  pool_.flags[pi] |= PacketPool::kMisGlobal | PacketPool::kPhase0;
-  pool_.target_router[pi] = cand.inter;
-  pool_.via_port[pi] = static_cast<std::int16_t>(cand.via_port);
+  pool.flags[pi] |= PacketPool::kMisGlobal | PacketPool::kPhase0;
+  pool.target_router[pi] = cand.inter;
+  pool.via_port[pi] = static_cast<std::int16_t>(cand.via_port);
 }
 
 void Simulator::decide_injection(Shard& sh, RouterId r, std::int32_t packet) {
   const auto pi = static_cast<std::size_t>(packet);
-  pool_.flags[pi] |= PacketPool::kRouted;
-  const NodeId d = pool_.dst[pi];
-  pool_.target_router[pi] = topo_.router_of_node(d);
+  PacketPool& pool = sh.pool;
+  pool.flags[pi] |= PacketPool::kRouted;
+  const NodeId d = pool.dst[pi];
+  pool.target_router[pi] = topo_.router_of_node(d);
 
-  if (!inject_decides_ || (pool_.flags[pi] & PacketPool::kInorder)) return;
+  if (!inject_decides_ || (pool.flags[pi] & PacketPool::kInorder)) return;
   if (topo_.min_channel(r, d) < 0) return;  // no nonminimal option applies
 
   const routing::Decision dec =
       routing_->decide_injection(sh.rng, now_, sh.index, r, d);
   if (dec.misroute) {
-    apply_global_misroute(packet, dec.cand);
+    apply_global_misroute(pool, packet, dec.cand);
     note_misroute(r, packet, dec.cause);
   }
 }
@@ -614,26 +605,27 @@ void Simulator::maybe_transit_misroute(Shard& sh, RouterId r, std::int32_t q,
   // minimal-committed packets can divert when the counters are hot.
   if (!transit_decides_) return;
   const auto pi = static_cast<std::size_t>(packet);
-  const std::uint8_t flags = pool_.flags[pi];
+  PacketPool& pool = sh.pool;
+  const std::uint8_t flags = pool.flags[pi];
   if (flags & (PacketPool::kMisGlobal | PacketPool::kInorder)) return;
   if (!topo_.can_misroute_in_transit(
-          r, topo_.router_of_node(pool_.src[pi]), pool_.g_hops[pi])) {
+          r, topo_.router_of_node(pool.src[pi]), pool.g_hops[pi])) {
     return;
   }
-  const NodeId d = pool_.dst[pi];
+  const NodeId d = pool.dst[pi];
   const std::int32_t min_ch = topo_.min_channel(r, d);
   if (min_ch < 0) return;
 
   const PortIndex mp = topo_.minimal_output(r, d);
   const routing::Decision dec = routing_->decide_transit(
-      sh.rng, sh.index, r, d, pool_.g_hops[pi], mp, min_ch);
+      sh.rng, sh.index, r, d, pool.g_hops[pi], mp, min_ch);
   if (!dec.misroute) return;
-  apply_global_misroute(packet, dec.cand);
+  apply_global_misroute(pool, packet, dec.cand);
   q_request_[static_cast<std::size_t>(q)] =
-      static_cast<std::int16_t>(routed_output(r, packet));
+      static_cast<std::int16_t>(routed_output(pool, r, packet));
   if (telemetry_on_ || trace_on_) {
     note_misroute(r, packet,
-                  r == topo_.router_of_node(pool_.src[pi])
+                  r == topo_.router_of_node(pool.src[pi])
                       ? telemetry::MisrouteCause::kTrigger
                       : telemetry::MisrouteCause::kInTransit);
   }
@@ -648,7 +640,8 @@ void Simulator::maybe_local_detour(Shard& sh, RouterId r, std::int32_t q) {
   const std::int32_t packet =
       slab_[static_cast<std::size_t>(q_offset_[qi] + q_head_[qi])];
   const auto pi = static_cast<std::size_t>(packet);
-  if (pool_.flags[pi] & (PacketPool::kDetoured | PacketPool::kInorder)) return;
+  PacketPool& pool = sh.pool;
+  if (pool.flags[pi] & (PacketPool::kDetoured | PacketPool::kInorder)) return;
 
   if (!routing_->local_detour_fires(sh.rng, sh.index, r, rp)) return;
   Rng& rng = sh.rng;
@@ -661,12 +654,11 @@ void Simulator::maybe_local_detour(Shard& sh, RouterId r, std::int32_t q) {
     if (fault_on_ && !health_.link_up(r, ap)) continue;
     const std::size_t flat = static_cast<std::size_t>(flat_port(r, ap));
     if (out_busy_until_[flat] > now_) continue;
-    const VcIndex vcn = vc_for(r, ap, packet);
-    if (q_free_[static_cast<std::size_t>(down_queue_base_[flat] + vcn)] <= 1) {
+    if (q_free_[credit_index(flat, vc_for(pool, r, ap, packet))] <= 1) {
       continue;  // require slack so detours do not fill the last slot
     }
     q_request_[qi] = static_cast<std::int16_t>(ap);
-    pool_.flags[pi] |= PacketPool::kMisLocal | PacketPool::kDetoured;
+    pool.flags[pi] |= PacketPool::kMisLocal | PacketPool::kDetoured;
     note_misroute(r, packet, telemetry::MisrouteCause::kLocalDetour);
     return;
   }
@@ -688,16 +680,16 @@ void Simulator::wheel_mark(Shard& sh, std::size_t l, Cycle arrival,
   sum = word != 0 ? sum | sum_bit : sum & ~sum_bit;
 }
 
-void Simulator::ring_insert(Shard& sh, std::int32_t flat,
+void Simulator::ring_insert(Shard& sh, std::size_t flat,
                             const LinkEvent& ev) {
-  const auto l = static_cast<std::size_t>(flat);
-  assert(ring_count_[l] < ring_cap_[l]);
+  const RingSpan span = ring_span_[flat];
+  RingCursor& ring = sh.rings[flat];
+  assert(ring.count < span.cap);
   assert(ev.arrival >= now_ && ev.arrival - now_ <= wheel_mask_);
-  const std::int32_t slot =
-      ring_offset_[l] + (ring_head_[l] + ring_count_[l]) % ring_cap_[l];
+  const std::int32_t slot = span.offset + (ring.head + ring.count) % span.cap;
   ring_slab_[static_cast<std::size_t>(slot)] = ev;
   // A ring going non-empty arms its front; later entries wait behind it.
-  if (ring_count_[l]++ == 0) wheel_mark(sh, l, ev.arrival, true);
+  if (ring.count++ == 0) wheel_mark(sh, flat, ev.arrival, true);
 }
 
 void Simulator::deliver_arrivals(Shard& sh) {
@@ -718,13 +710,15 @@ void Simulator::deliver_arrivals(Shard& sh) {
       for (std::uint64_t bits = std::exchange(bucket[wheel_sum_words_ + w], 0);
            bits != 0; bits &= bits - 1) {
         const std::size_t l = w * 64 + std::countr_zero(bits);
-        const LinkEvent ev = ring_slab_[static_cast<std::size_t>(
-            ring_offset_[l] + ring_head_[l])];
+        const RingSpan span = ring_span_[l];
+        RingCursor& ring = sh.rings[l];
+        const LinkEvent ev =
+            ring_slab_[static_cast<std::size_t>(span.offset + ring.head)];
         assert(ev.arrival == now_);
-        ring_head_[l] = (ring_head_[l] + 1) % ring_cap_[l];
-        if (--ring_count_[l] > 0) {
-          const LinkEvent& next = ring_slab_[static_cast<std::size_t>(
-              ring_offset_[l] + ring_head_[l])];
+        ring.head = (ring.head + 1) % span.cap;
+        if (--ring.count > 0) {
+          const LinkEvent& next =
+              ring_slab_[static_cast<std::size_t>(span.offset + ring.head)];
           wheel_mark(sh, l, next.arrival, true);
         }
         if (trace_on_) {
@@ -768,24 +762,15 @@ void Simulator::inject_traffic(Shard& sh) {
       continue;
     }
 
-    const std::int32_t packet = allocate_packet(sh);
-    if (packet < 0) {
-      // Sharded id range exhausted (never happens serial: the pool grows).
-      // Deterministic back-pressure, same accounting as a full queue.
-      ++sh.metrics.refused;
-      ++sh.totals.refused;
-      continue;
-    }
-    pool_.reset_packet(packet);
-    const auto pi = static_cast<std::size_t>(packet);
-    pool_.src[pi] = inj.src;
-    pool_.dst[pi] = inj.dst;
-    pool_.birth[pi] = now_;
+    // The free slot bounds the pool: it is reserved to the shard's queue
+    // and ring slots, so it never grows.
+    const std::int32_t packet = sh.pool.allocate();
+    sh.pool.store(packet, {.birth = now_, .src = inj.src, .dst = inj.dst});
     if (telemetry_on_) sink_.count_injection(r);
     if (trace_on_) tracer_.on_inject(now_, packet, r, inj.dst);
     if (params_.traffic.inorder_fraction > 0.0 &&
         rng.next_bool(params_.traffic.inorder_fraction)) {
-      pool_.flags[pi] |= PacketPool::kInorder;
+      sh.pool.flags[static_cast<std::size_t>(packet)] |= PacketPool::kInorder;
     }
     --q_free_[static_cast<std::size_t>(q)];
     push_queue(sh, q, packet);
@@ -843,7 +828,7 @@ void Simulator::route_and_allocate(Shard& sh) {
             // adaptive mechanisms divert the packet.
             const std::int32_t packet = slab_[static_cast<std::size_t>(
                 q_offset_[qi] + q_head_[qi])];
-            out = routed_output(r, packet);
+            out = routed_output(sh.pool, r, packet);
             q_request_[qi] = static_cast<std::int16_t>(out);
             if (out < 0) continue;
           }
@@ -852,9 +837,8 @@ void Simulator::route_and_allocate(Shard& sh) {
           if (out < fwd_) {
             const std::int32_t packet = slab_[static_cast<std::size_t>(
                 q_offset_[qi] + q_head_[qi])];
-            const VcIndex vcn = vc_for(r, out, packet);
-            if (q_free_[static_cast<std::size_t>(down_queue_base_[flat] +
-                                                 vcn)] <= 0) {
+            if (q_free_[credit_index(flat, vc_for(sh.pool, r, out, packet))] <=
+                0) {
               if (telemetry_on_) sink_.count_credit_stall(r);
               continue;
             }
@@ -878,7 +862,8 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
   const std::int32_t q = queue_index(r, grant.in, grant.vc);
   const auto qi = static_cast<std::size_t>(q);
   const std::int16_t counted = q_counted_[qi];
-  const std::int32_t packet = pop_queue(sh, q, flat_port(r, grant.in));
+  const std::int32_t packet =
+      pop_queue(sh, q, flat_port(r, grant.in), grant.vc);
   routing_->on_tail_departure(flat_port(r, counted));
 
   const PortIndex out = grant.out;
@@ -891,11 +876,12 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
   }
 
   const auto pi = static_cast<std::size_t>(packet);
+  PacketPool& pool = sh.pool;
   if (fault_on_) {
     // Hard invariant (gated == 0): the request filter in route_and_allocate
     // never lets a head depart onto a down link.
     if (!health_.link_up(r, out)) ++sh.metrics.dead_link_hops;
-    if (pool_.hops[pi] >= hop_cap_) {
+    if (pool.hops[pi] >= hop_cap_) {
       // Livelock guard: rerouted around faults past any plausible path
       // length; drop rather than circulate forever.
       ++sh.metrics.undeliverable;
@@ -904,10 +890,10 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
       if (trace_on_) {
         tracer_.close(now_, packet, r, telemetry::TraceEvent::kDrop);
       }
-      release_packet(sh, packet);
+      pool.release(packet);
       return;
     }
-    pool_.hops[pi] = static_cast<std::uint16_t>(pool_.hops[pi] + 1);
+    pool.hops[pi] = static_cast<std::uint16_t>(pool.hops[pi] + 1);
   }
   if (telemetry_on_) {
     sink_.count_link_departure(static_cast<std::int32_t>(flat));
@@ -916,35 +902,36 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
     tracer_.record_hop(now_, packet, r, telemetry::TraceEvent::kLinkDepart,
                        static_cast<std::uint8_t>(out));
   }
-  const VcIndex vcn = vc_for(r, out, packet);  // pre-transition state
-  const std::int32_t down = down_queue_base_[flat] + vcn;
-  --q_free_[static_cast<std::size_t>(down)];
+  const VcIndex vcn = vc_for(pool, r, out, packet);  // pre-transition state
+  const std::int32_t down = down_port_[flat] * vmax_ + vcn;
+  --q_free_[credit_index(flat, vcn)];
 
-  const HopTransition hop = topo_.on_hop(r, out, pool_.g_hops[pi]);
-  pool_.g_hops[pi] = hop.vc_state;
+  const HopTransition hop = topo_.on_hop(r, out, pool.g_hops[pi]);
+  pool.g_hops[pi] = hop.vc_state;
   if (hop.reset_detour) {
-    pool_.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kDetoured);
+    pool.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kDetoured);
   }
-  if (hop.end_phase0 && (pool_.flags[pi] & PacketPool::kPhase0)) {
-    pool_.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kPhase0);
-    pool_.target_router[pi] = topo_.router_of_node(pool_.dst[pi]);
+  if (hop.end_phase0 && (pool.flags[pi] & PacketPool::kPhase0)) {
+    pool.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kPhase0);
+    pool.target_router[pi] = topo_.router_of_node(pool.dst[pi]);
   }
 
   Cycle arrival = now_ + link_delay_[flat];
   if (fault_on_) arrival += health_.extra_latency(r, out);
-  const auto lid = static_cast<std::int32_t>(flat);
   if (owns_link(sh, flat)) {
-    ring_insert(sh, lid, LinkEvent{arrival, packet, down});
+    ring_insert(sh, flat, LinkEvent{arrival, packet, down});
   } else {
     // The ring belongs to the downstream shard: hand the traversal over
-    // through its inbox; it ring-inserts at its next merge point. Arrivals
-    // are several cycles out, so the one-cycle handoff loses nothing.
+    // through its inbox, packet state included; it takes an id from its own
+    // pool and ring-inserts at its next merge point. Arrivals are several
+    // cycles out, so the one-cycle handoff loses nothing.
     ShardMessage m;
     m.kind = ShardMessage::Kind::kLinkSend;
-    m.link = lid;
+    m.link = static_cast<std::int32_t>(flat);
     m.queue = down;
-    m.packet = packet;
     m.arrival = arrival;
+    m.packet = pool.load(packet);
+    pool.release(packet);
     push_msg(sh, link_owner_[flat], m);
   }
 }
@@ -952,8 +939,8 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
 void Simulator::deliver(Shard& sh, RouterId r, std::int32_t packet) {
   const auto pi = static_cast<std::size_t>(packet);
   const Cycle latency =
-      now_ + params_.router.pipeline_cycles + psize_ - pool_.birth[pi];
-  const std::uint8_t flags = pool_.flags[pi];
+      now_ + params_.router.pipeline_cycles + psize_ - sh.pool.birth[pi];
+  const std::uint8_t flags = sh.pool.flags[pi];
   const bool mis_global = (flags & PacketPool::kMisGlobal) != 0;
   const bool mis_local = (flags & PacketPool::kMisLocal) != 0;
 
@@ -969,7 +956,7 @@ void Simulator::deliver(Shard& sh, RouterId r, std::int32_t packet) {
   if (log_deliveries_) {
     if (sh.deliveries.size() == sh.deliveries.capacity()) ++sh.log_growth;
     // dfsim-check: allow(CHK-ALLOC): growth is counted in log_growth
-    sh.deliveries.push_back(Delivery{pool_.birth[pi], latency, mis_global,
+    sh.deliveries.push_back(Delivery{sh.pool.birth[pi], latency, mis_global,
                                      !mis_global && !mis_local});
   }
   if (telemetry_on_) sink_.count_delivery(r);
@@ -977,7 +964,7 @@ void Simulator::deliver(Shard& sh, RouterId r, std::int32_t packet) {
     tracer_.close(now_, packet, r, telemetry::TraceEvent::kDeliver,
                   static_cast<std::uint32_t>(latency));
   }
-  release_packet(sh, packet);
+  sh.pool.release(packet);
 }
 
 void Simulator::update_mechanism(Shard& sh) {
@@ -1026,16 +1013,20 @@ void Simulator::purge_faulted_rings(Shard& sh) {
   // at the next merge.
   for (const std::int32_t id : fault_.faulty_links()) {
     const auto l = static_cast<std::size_t>(id);
-    if (!owns_link(sh, l) || ring_count_[l] == 0) continue;
-    if (health_.link_up(id / radix_, id % radix_)) continue;
+    if (!owns_link(sh, l)) continue;
+    const RingSpan span = ring_span_[l];
+    RingCursor& ring = sh.rings[l];
+    if (ring.count == 0 || health_.link_up(id / radix_, id % radix_)) continue;
     // The ring's one wheel bit sits in its front's bucket.
-    const LinkEvent& front = ring_slab_[static_cast<std::size_t>(
-        ring_offset_[l] + ring_head_[l])];
-    wheel_mark(sh, l, front.arrival, false);
-    while (ring_count_[l] > 0) {
-      const LinkEvent& ev = ring_slab_[static_cast<std::size_t>(
-          ring_offset_[l] + ring_head_[l])];
-      return_credit(sh, ev.down_queue, ev.down_queue / vmax_);
+    const std::int32_t down = down_port_[l];
+    wheel_mark(sh, l,
+               ring_slab_[static_cast<std::size_t>(span.offset + ring.head)]
+                   .arrival,
+               false);
+    while (ring.count > 0) {
+      const LinkEvent& ev =
+          ring_slab_[static_cast<std::size_t>(span.offset + ring.head)];
+      return_credit(sh, down, ev.down_queue - down * vmax_);
       ++sh.metrics.dropped;
       ++sh.totals.dropped;
       if (telemetry_on_) sink_.count_drop();
@@ -1045,9 +1036,9 @@ void Simulator::purge_faulted_rings(Shard& sh) {
                                                     radix_)),
                       telemetry::TraceEvent::kDrop);
       }
-      release_packet(sh, ev.packet);
-      ring_head_[l] = (ring_head_[l] + 1) % ring_cap_[l];
-      --ring_count_[l];
+      sh.pool.release(ev.packet);
+      ring.head = (ring.head + 1) % span.cap;
+      --ring.count;
     }
   }
 }
@@ -1065,39 +1056,6 @@ void Simulator::push_msg(Shard& sh, std::int32_t dst,
   box.push_back(msg);
 }
 
-std::int32_t Simulator::allocate_packet(Shard& sh) {
-  if (n_shards_ == 1) return pool_.allocate();
-  if (sh.free_ids.empty()) return -1;
-  const std::int32_t id = sh.free_ids.back();
-  sh.free_ids.pop_back();
-  ++sh.live;
-  return id;
-}
-
-void Simulator::release_packet(Shard& sh, std::int32_t packet) {
-  if (n_shards_ == 1) {
-    pool_.release(packet);
-    return;
-  }
-  // `live` is a per-shard delta (allocations minus releases, wherever the
-  // id came from), so the sum over shards counts in-network packets
-  // exactly even while an id rides an inbox back to its range owner.
-  --sh.live;
-  const auto it = std::upper_bound(shard_id_base_.begin(),
-                                   shard_id_base_.end(), packet);
-  const auto owner =
-      static_cast<std::int32_t>(it - shard_id_base_.begin()) - 1;
-  if (owner == sh.index) {
-    // dfsim-check: allow(CHK-ALLOC): reserved to the shard id-range size
-    sh.free_ids.push_back(packet);
-  } else {
-    ShardMessage m;
-    m.kind = ShardMessage::Kind::kFreeId;
-    m.packet = packet;
-    push_msg(sh, owner, m);
-  }
-}
-
 void Simulator::merge_inboxes(Shard& sh) {
   // Fixed merge order — ascending source shard, FIFO within each box — is
   // what makes a sharded run a pure function of (params, seed, shards).
@@ -1108,18 +1066,16 @@ void Simulator::merge_inboxes(Shard& sh) {
     const std::vector<ShardMessage>& box =
         src.outbox[parity][static_cast<std::size_t>(sh.index)].msgs;
     for (const ShardMessage& m : box) {
-      switch (m.kind) {
-        case ShardMessage::Kind::kLinkSend:
-          ring_insert(sh, m.link, LinkEvent{m.arrival, m.packet, m.queue});
-          break;
-        case ShardMessage::Kind::kCredit:
-          ++q_free_[static_cast<std::size_t>(m.queue)];
-          break;
-        case ShardMessage::Kind::kFreeId:
-          // dfsim-check: allow(CHK-ALLOC): reserved to the shard id-range size
-          sh.free_ids.push_back(m.packet);
-          break;
+      if (m.kind == ShardMessage::Kind::kCredit) {
+        ++q_free_[static_cast<std::size_t>(m.queue)];
+        continue;
       }
+      // A link send: the packet takes an id in this shard's pool, which the
+      // ring it enters bounds.
+      const std::int32_t packet = sh.pool.allocate();
+      sh.pool.store(packet, m.packet);
+      ring_insert(sh, static_cast<std::size_t>(m.link),
+                  LinkEvent{m.arrival, packet, m.queue});
     }
   }
   if (snap_on_) {
@@ -1337,10 +1293,20 @@ const Simulator::Totals& Simulator::lifetime_totals() const {
 }
 
 std::int64_t Simulator::packets_in_network() const {
-  if (n_shards_ == 1) return static_cast<std::int64_t>(pool_.in_use());
-  std::int64_t live = 0;
-  for (const Shard& sh : shards_) live += sh.live;
-  return live;
+  // Every packet sits in one shard's pool, except a cross-shard link send
+  // that its sender has released and its receiver not yet merged: those
+  // wait in the parity the last completed cycle wrote.
+  const auto pending = static_cast<std::size_t>((now_ - 1) & 1);
+  std::int64_t n = 0;
+  for (const Shard& sh : shards_) {
+    n += static_cast<std::int64_t>(sh.pool.in_use());
+    for (const Mailbox& box : sh.outbox[pending]) {
+      for (const ShardMessage& m : box.msgs) {
+        if (m.kind == ShardMessage::Kind::kLinkSend) ++n;
+      }
+    }
+  }
+  return n;
 }
 
 const std::vector<Simulator::Delivery>& Simulator::delivery_log() const {
@@ -1421,24 +1387,34 @@ void Simulator::enable_ectn_monitor(std::int32_t async_mult,
 }
 
 std::int64_t Simulator::allocation_events() const {
-  std::int64_t events = pool_.grow_events;
+  std::int64_t events = 0;
   for (const Shard& sh : shards_) {
-    events += sh.log_growth + sh.msg_growth +
+    events += sh.pool.grow_events + sh.log_growth + sh.msg_growth +
               sh.traffic->record_growth_events();
   }
+  return events;
+}
+
+std::int64_t Simulator::pool_grow_events() const {
+  std::int64_t events = 0;
+  for (const Shard& sh : shards_) events += sh.pool.grow_events;
   return events;
 }
 
 bool Simulator::debug_check_active_state() const {
   const std::int32_t routers = topo_.routers();
   const std::int32_t qwpr = queue_words_per_router_;
+  const auto shard_of = [&](RouterId r) {
+    return static_cast<std::size_t>(
+        shard_of_router_[static_cast<std::size_t>(r)]);
+  };
+  // Packets each shard holds in its queues and rings, for (3).
+  std::vector<std::int64_t> held(shards_.size(), 0);
 
   // (1) Queue-occupancy bits mirror q_size exactly; the owning shard's
   // router summary bit mirrors the OR of the router's queue words.
-  std::int64_t queued_packets = 0;
   for (RouterId r = 0; r < routers; ++r) {
-    const Shard& sh = shards_[static_cast<std::size_t>(
-        n_shards_ == 1 ? 0 : shard_of_router_[static_cast<std::size_t>(r)])];
+    const Shard& sh = shards_[shard_of(r)];
     const std::size_t qbase =
         static_cast<std::size_t>(r) * static_cast<std::size_t>(qwpr);
     std::uint64_t any = 0;
@@ -1451,7 +1427,7 @@ bool Simulator::debug_check_active_state() const {
         const std::int32_t size =
             q_size_[static_cast<std::size_t>(queue_index(r, ip, vc))];
         if (set != (size > 0)) return false;
-        queued_packets += size;
+        held[shard_of(r)] += size;
       }
     }
     for (std::int32_t w = 0; w < qwpr; ++w) {
@@ -1466,7 +1442,15 @@ bool Simulator::debug_check_active_state() const {
   // (2) Wheel: every summary bit mirrors (link word != 0) and every set bit
   // is a non-empty ring the shard owns, in its front arrival's bucket; each
   // non-empty ring has exactly one bit and a front in [now, now + W).
-  const std::size_t links = ring_cap_.size();
+  const std::size_t links = down_port_.size();
+  const auto front_arrival = [&](std::size_t l) {
+    return ring_slab_[static_cast<std::size_t>(
+                          ring_span_[l].offset +
+                          shards_[static_cast<std::size_t>(ring_owner(l))]
+                              .rings[l]
+                              .head)]
+        .arrival;
+  };
   std::vector<std::int32_t> wheel_bits(links, 0);
   for (const Shard& sh : shards_) {
     for (Cycle b = 0; b <= wheel_mask_; ++b) {
@@ -1479,11 +1463,9 @@ bool Simulator::debug_check_active_state() const {
         }
         for (std::uint64_t m = word; m != 0; m &= m - 1) {
           const std::size_t l = w * 64 + std::countr_zero(m);
-          if (l >= links || ring_count_[l] == 0 ||
-              !owns_link(sh, l) ||
-              (ring_slab_[static_cast<std::size_t>(ring_offset_[l] +
-                                                   ring_head_[l])]
-                   .arrival & wheel_mask_) != b) {
+          if (l >= links || down_port_[l] < 0 || !owns_link(sh, l) ||
+              sh.rings[l].count == 0 ||
+              (front_arrival(l) & wheel_mask_) != b) {
             return false;
           }
           ++wheel_bits[l];
@@ -1491,8 +1473,8 @@ bool Simulator::debug_check_active_state() const {
       }
     }
   }
-  std::int64_t inflight_packets = 0;
   for (std::size_t l = 0; l < links; ++l) {
+    if (down_port_[l] < 0) continue;  // no link leaves an ejection port
     const auto r = static_cast<RouterId>(l / static_cast<std::size_t>(radix_));
     const auto port =
         static_cast<PortIndex>(l % static_cast<std::size_t>(radix_));
@@ -1501,38 +1483,32 @@ bool Simulator::debug_check_active_state() const {
         wheel_mask_) {
       return false;
     }
-    inflight_packets += ring_count_[l];
-    if (ring_count_[l] == 0) continue;
+    // Only the owner's cursor of a ring ever moves.
+    const auto owner = static_cast<std::size_t>(ring_owner(l));
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if (i != owner && shards_[i].rings[l].count != 0) return false;
+    }
+    const std::int32_t count = shards_[owner].rings[l].count;
+    held[owner] += count;
+    if (count == 0) continue;
     // Fault overlay: nothing may remain in flight on a down link (purged at
     // the fault event, never re-entered by the allocator filter).
     if (fault_on_ && !health_.link_up(r, port)) return false;
-    const LinkEvent& front =
-        ring_slab_[static_cast<std::size_t>(ring_offset_[l] + ring_head_[l])];
-    if (wheel_bits[l] != 1 || front.arrival < now_ ||
-        front.arrival - now_ > wheel_mask_) {
+    const Cycle front = front_arrival(l);
+    if (wheel_bits[l] != 1 || front < now_ || front - now_ > wheel_mask_) {
       return false;
     }
   }
 
-  // (3) Pool accounting: every live packet sits in a queue, on a link, or
-  // (sharded) in a kLinkSend handoff waiting in an outbox. Only the parity
-  // the last completed cycle wrote is pending; the other still holds
-  // messages that were already merged.
-  const auto sent = static_cast<std::size_t>((now_ - 1) & 1);
-  std::int64_t pending_sends = 0;
-  for (const Shard& sh : shards_) {
-    for (const Mailbox& box : sh.outbox[sent]) {
-      for (const ShardMessage& m : box.msgs) {
-        if (m.kind == ShardMessage::Kind::kLinkSend) ++pending_sends;
-      }
+  // (3) Pool accounting: each shard's live packets are exactly the ones in
+  // its queues and rings (a pending cross-shard send is in neither pool).
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (static_cast<std::int64_t>(shards_[i].pool.in_use()) != held[i]) {
+      return false;
     }
   }
-  if (packets_in_network() !=
-      queued_packets + inflight_packets + pending_sends) {
-    return false;
-  }
 
-  // (4) Lifetime packet conservation, drops included.
+  // (4) Lifetime packet conservation, drops and pending sends included.
   return conservation_error() == 0;
 }
 

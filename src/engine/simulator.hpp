@@ -51,13 +51,15 @@
 //
 // Sharded execution (engine.threads > 1): the router range is partitioned
 // into contiguous shards, one barrier-synced worker thread per shard (the
-// calling thread drives shard 0). Each shard owns its routers' queues,
-// credits, allocators, contention counters, its slice of the occupancy
-// bitmasks, a timing wheel over the links it owns, a private RNG stream, a
+// calling thread drives shard 0). Each shard owns its routers' queues, the
+// credits of their output ports, allocators, contention counters, its slice
+// of the occupancy bitmasks, the in-flight rings of its routers' input
+// ports and a timing wheel over them, a packet pool, a private RNG stream, a
 // private traffic-model instance restricted to the shard's terminals, and
-// private metrics. State that crosses a shard boundary — a packet departing
-// onto a link whose downstream router lives elsewhere, a credit return to an
-// upstream shard, a packet id going home to its allocating shard — travels
+// private metrics; per-cycle state is laid out so that only its owner ever
+// writes a cache line of it. State that crosses a shard boundary — a packet
+// departing onto a link whose downstream router lives elsewhere (its whole
+// pool state rides along), a credit return to an upstream shard — travels
 // through per-shard outboxes (double-buffered by cycle parity) applied at
 // the next cycle's merge point in fixed (source shard, FIFO) order, so
 // results are a pure function of (params, seed, engine.threads). Every
@@ -259,17 +261,16 @@ class Simulator : private routing::EngineProbe {
   /// trace-recording or outbox growth). Constant across steps == steady state
   /// allocates nothing.
   [[nodiscard]] std::int64_t allocation_events() const;
-  /// Packet-pool heap growths alone (0 == the reserve bound held).
-  [[nodiscard]] std::int64_t pool_grow_events() const {
-    return pool_.grow_events;
-  }
+  /// Packet-pool heap growths alone, summed over the shards' pools (0 ==
+  /// every reserve bound held).
+  [[nodiscard]] std::int64_t pool_grow_events() const;
 
   /// Debug cross-check of the active-set structures against a brute-force
   /// scan of the dense state: every queue-occupancy bit matches q_size, the
   /// router summary mask matches the queue bits, each non-empty link ring
   /// has exactly one timing-wheel bit, in its front arrival's bucket, and
-  /// the packet pool population equals the packets sitting in queues plus
-  /// rings (plus, sharded, handoffs waiting in an outbox).
+  /// each shard's pool population equals the packets sitting in its queues
+  /// plus its rings.
   /// O(routers * radix * vcs + W * links) and may allocate — tests only.
   [[nodiscard]] bool debug_check_active_state() const;
 
@@ -281,8 +282,19 @@ class Simulator : private routing::EngineProbe {
  private:
   struct LinkEvent {
     Cycle arrival = 0;
-    std::int32_t packet = kInvalidPacket;
+    std::int32_t packet = kInvalidPacket;  // id in the ring owner's pool
     std::int32_t down_queue = -1;
+  };
+  /// Where one link's in-flight FIFO lives: `cap` slots of ring_slab_ from
+  /// `offset`. Fixed at construction; every shard reads it.
+  struct RingSpan {
+    std::int32_t offset = 0;
+    std::int32_t cap = 0;
+  };
+  /// The moving part of a link's FIFO, kept by the shard owning the ring.
+  struct RingCursor {
+    std::int32_t head = 0;
+    std::int32_t count = 0;
   };
 
   /// Seed stride between shard RNG streams (routing and traffic). Shard 0
@@ -296,13 +308,12 @@ class Simulator : private routing::EngineProbe {
     enum class Kind : std::uint8_t {
       kLinkSend,  // packet departs onto a link owned downstream
       kCredit,    // credit return for a queue whose upstream is remote
-      kFreeId,    // packet id going home to its allocating shard
     };
     Kind kind = Kind::kLinkSend;
-    std::int32_t link = -1;                // kLinkSend: flat link id
-    std::int32_t queue = -1;               // kLinkSend/kCredit: flat queue
-    std::int32_t packet = kInvalidPacket;  // kLinkSend/kFreeId
-    Cycle arrival = 0;                     // kLinkSend
+    std::int32_t link = -1;   // kLinkSend: flat link id
+    std::int32_t queue = -1;  // kLinkSend: flat queue; kCredit: q_free_ index
+    Cycle arrival = 0;        // kLinkSend
+    PacketPool::State packet;  // kLinkSend: the packet's whole state
   };
   /// One (source, parity, destination) message box, on its own cache line
   /// so a receiver reading it never shares a line with the sender's other
@@ -323,6 +334,9 @@ class Simulator : private routing::EngineProbe {
     NodeId n_lo = 0;  // = r_lo * concentration
     NodeId n_hi = 0;  // = r_hi * concentration
     Rng rng{0};       // routing decisions for owned routers
+    // Every packet in this shard's queues and rings (reserved to exactly
+    // their slot count, so it never grows).
+    PacketPool pool;
     std::unique_ptr<TrafficModel> traffic;  // restricted to [n_lo, n_hi)
     Metrics metrics;
     Totals totals;
@@ -330,15 +344,13 @@ class Simulator : private routing::EngineProbe {
     AllocRequestBatch request_batch;  // per-router sparse requests (reused)
     // Router summary mask slice: bit (r - r_lo) of word (r - r_lo) / 64.
     std::vector<std::uint64_t> router_active;
-    // Link timing wheel over the rings this shard owns (see wheel_mask_).
+    // Link timing wheel over the rings this shard owns (see wheel_mask_),
+    // and those rings' cursors. The cursors are indexed by link like
+    // ring_span_, one array per shard, so only the owner writes them.
     std::vector<std::uint64_t> wheel;
+    std::vector<RingCursor> rings;
     std::vector<Delivery> deliveries;
     std::int64_t log_growth = 0;
-    // Sharded packet-id accounting: ids from [base[i], base[i+1]) are
-    // allocated here; `live` is this shard's net allocate-minus-release
-    // delta, so the sum over shards is the exact in-network population.
-    std::vector<std::int32_t> free_ids;
-    std::int64_t live = 0;
     std::int64_t msg_growth = 0;
     // Outboxes by cycle parity, one per dest shard: cycle t sends into
     // parity t & 1 while receivers merge parity (t - 1) & 1. Every receiver
@@ -373,12 +385,13 @@ class Simulator : private routing::EngineProbe {
     return (r * radix_ + in_port) * vmax_ + vc;
   }
   void push_queue(Shard& sh, std::int32_t q, std::int32_t packet);
-  /// Pops the head of queue `q` on flat input port `port` (r * radix + ip)
-  /// and returns its credit upstream.
-  std::int32_t pop_queue(Shard& sh, std::int32_t q, std::int32_t port);
-  /// One freed slot of queue `q` (flat input port `port`) goes back to the
-  /// credit counter's owner: in place, or through the owner's inbox.
-  void return_credit(Shard& sh, std::int32_t q, std::int32_t port);
+  /// Pops the head of queue `q` (flat input port `port` = r * radix + ip,
+  /// VC `vc`) and returns its credit upstream.
+  std::int32_t pop_queue(Shard& sh, std::int32_t q, std::int32_t port,
+                         VcIndex vc);
+  /// One freed slot of input port `port`, VC `vc`, goes back to the credit
+  /// counter's owner: in place, or through the owner's inbox.
+  void return_credit(Shard& sh, std::int32_t port, VcIndex vc);
   void on_new_head(Shard& sh, std::int32_t q);
 
   // --- active-set maintenance (queue occupancy bits + link timing wheel)
@@ -389,7 +402,18 @@ class Simulator : private routing::EngineProbe {
   void wheel_mark(Shard& sh, std::size_t l, Cycle arrival, bool arm);
   /// Appends `ev` to link `flat`'s in-flight ring, arming the ring's wheel
   /// bit when it goes non-empty.
-  void ring_insert(Shard& sh, std::int32_t flat, const LinkEvent& ev);
+  void ring_insert(Shard& sh, std::size_t flat, const LinkEvent& ev);
+  /// Shard owning link `flat`'s in-flight ring: its downstream router's.
+  [[nodiscard]] std::int32_t ring_owner(std::size_t flat) const {
+    return shard_of_router_[static_cast<std::size_t>(down_port_[flat] /
+                                                     radix_)];
+  }
+  /// First router of shard `i`: shard i owns [shard_begin(i),
+  /// shard_begin(i + 1)), contiguous balanced ranges.
+  [[nodiscard]] RouterId shard_begin(std::int32_t i) const {
+    return static_cast<RouterId>(static_cast<std::int64_t>(topo_.routers()) *
+                                 i / n_shards_);
+  }
 
   // --- cycle loop (every shard count; threads = 1 is shard 0 alone)
   void worker_loop(std::int32_t shard_index);
@@ -404,12 +428,6 @@ class Simulator : private routing::EngineProbe {
   /// remote-occupancy snapshot.
   void merge_inboxes(Shard& sh);
   void push_msg(Shard& sh, std::int32_t dst, const ShardMessage& msg);
-  /// Pool front-end: one shard uses the growable pool free list; several
-  /// shards draw from private id ranges (-1 when the range is exhausted —
-  /// the injection is then refused deterministically). The ranges size the
-  /// pool to its structural bound up front, which one shard need not pay.
-  [[nodiscard]] std::int32_t allocate_packet(Shard& sh);
-  void release_packet(Shard& sh, std::int32_t packet);
   /// Ownership tests: the credit counters of flat input port `port`, and
   /// the in-flight ring of flat link `flat`. With one shard every test is
   /// true and no ownership table is built or read.
@@ -447,16 +465,20 @@ class Simulator : private routing::EngineProbe {
   }
 
   // --- routing
+  // (`packet` is an id in `pool`, the pool of the shard holding it.)
   void decide_injection(Shard& sh, RouterId r, std::int32_t packet);
-  [[nodiscard]] PortIndex route_output(RouterId r, std::int32_t packet) const;
+  [[nodiscard]] PortIndex route_output(const PacketPool& pool, RouterId r,
+                                       std::int32_t packet) const;
   /// route_output plus fault-fallback attribution: when telemetry is on and
   /// the chosen output differs from the healthy-path preference, the
   /// divergence is counted as a kFaultFallback misroute.
-  [[nodiscard]] PortIndex routed_output(RouterId r, std::int32_t packet);
+  [[nodiscard]] PortIndex routed_output(const PacketPool& pool, RouterId r,
+                                        std::int32_t packet);
   void maybe_local_detour(Shard& sh, RouterId r, std::int32_t q);
   void maybe_transit_misroute(Shard& sh, RouterId r, std::int32_t q,
                               std::int32_t packet);
-  void apply_global_misroute(std::int32_t packet, const NonminCandidate& cand);
+  void apply_global_misroute(PacketPool& pool, std::int32_t packet,
+                             const NonminCandidate& cand);
 
   // --- state probes (the routing::EngineProbe surface the mechanism reads
   // engine state through)
@@ -485,8 +507,8 @@ class Simulator : private routing::EngineProbe {
   }
   /// Downstream VC for `packet` taking `out` at `r`: the topology's VC
   /// class clamped to the port class's configured VC count.
-  [[nodiscard]] VcIndex vc_for(RouterId r, PortIndex out,
-                               std::int32_t packet) const;
+  [[nodiscard]] VcIndex vc_for(const PacketPool& pool, RouterId r,
+                               PortIndex out, std::int32_t packet) const;
   /// HopEstimate in cycles under this run's link latencies.
   [[nodiscard]] Cycle hops_to_latency(const HopEstimate& est) const {
     return static_cast<Cycle>(est.local_hops) * params_.link.local_latency +
@@ -494,6 +516,11 @@ class Simulator : private routing::EngineProbe {
   }
   [[nodiscard]] std::int32_t flat_port(RouterId r, PortIndex port) const {
     return r * radix_ + port;
+  }
+  /// q_free_ index of VC `vc`'s credits behind flat output port `flat`.
+  [[nodiscard]] std::size_t credit_index(std::size_t flat, VcIndex vc) const {
+    return flat * static_cast<std::size_t>(vmax_) +
+           static_cast<std::size_t>(vc);
   }
 
   void depart(Shard& sh, RouterId r, const AllocGrant& grant);
@@ -509,23 +536,29 @@ class Simulator : private routing::EngineProbe {
   std::int32_t vmax_ = 0;       // max VCs across port classes
   std::int32_t psize_ = 0;      // packet size in phits
 
-  // --- per-queue flat state (size routers * radix * vmax); a queue's
-  // slots/size/head belong to its router's shard, its credit counter
-  // (q_free_) to the upstream shard that spends the credits
+  // --- per-queue flat state (size routers * radix * vmax), each owned by
+  // its router's shard
   std::vector<std::int32_t> q_offset_;   // slab offset
   std::vector<std::int32_t> q_cap_;      // capacity in packets (0 = unused vc)
   std::vector<std::int32_t> q_head_;
   std::vector<std::int32_t> q_size_;
-  std::vector<std::int32_t> q_free_;     // credits: cap - size - in-flight
+  // Credits (cap - size - in-flight) of a queue, indexed by the side that
+  // spends them: credit_index(flat output port, vc) for a queue fed by a
+  // link, the queue's own index for an injection queue. Either way a
+  // router's block belongs to its shard.
+  std::vector<std::int32_t> q_free_;
   std::vector<std::int16_t> q_counted_;  // port counted in contention counters
   std::vector<std::int16_t> q_request_;  // port requested from the allocator
   std::vector<std::int16_t> q_wait_;     // bounded head-wait (head_wait.hpp)
   std::vector<std::int32_t> slab_;       // ring storage for all queues
 
-  // --- per-output flat state (size routers * radix)
+  // --- per-port flat state (size routers * radix)
   std::vector<Cycle> out_busy_until_;
-  std::vector<std::int32_t> down_queue_base_;  // downstream (router,port) base
-  std::vector<std::int32_t> link_delay_;       // latency + pipeline
+  std::vector<std::int32_t> down_port_;   // output -> downstream input port
+  // Input port -> the flat port whose q_free_ block holds its credits: the
+  // upstream output port, or the port itself for an injection input.
+  std::vector<std::int32_t> credit_port_;
+  std::vector<std::int32_t> link_delay_;   // latency + pipeline
 
   // --- routers
   std::vector<SeparableAllocator> allocators_;
@@ -537,15 +570,14 @@ class Simulator : private routing::EngineProbe {
   std::int32_t queue_words_per_router_ = 0;
   std::vector<std::uint64_t> queue_active_;   // routers * words_per_router
 
-  // --- packets & per-link in-flight rings (fixed capacity: a link carries
-  // at most delay/packet_size + 2 packets at once); a ring belongs to the
-  // downstream router's shard
-  PacketPool pool_;
+  // --- per-link in-flight rings (fixed capacity: a link carries at most
+  // delay/packet_size + 2 packets at once). A ring belongs to the downstream
+  // router's shard: its slots sit in that shard's block of the slab (blocks
+  // in shard order, rings in link order within a block, so with one shard
+  // the slab is in link order) and its cursor in that shard's
+  // Shard::rings, so only the owner writes either.
+  std::vector<RingSpan> ring_span_;  // per flat output port (link)
   std::vector<LinkEvent> ring_slab_;
-  std::vector<std::int32_t> ring_offset_;  // per (router, out port)
-  std::vector<std::int32_t> ring_cap_;
-  std::vector<std::int32_t> ring_head_;
-  std::vector<std::int32_t> ring_count_;
   // Timing-wheel shape (Shard::wheel), fixed at construction: W =
   // bit_ceil(longest flight + 1) buckets, so every front arrival lies in
   // [now, now + W). Bucket t & wheel_mask_ is wheel_stride_ words: summary
@@ -555,7 +587,7 @@ class Simulator : private routing::EngineProbe {
   std::size_t wheel_stride_ = 0;
 
   // --- sharded execution (n_shards_ == 1: shards_[0] spans everything, the
-  // barrier has one party, and the tables below stay empty)
+  // barrier has one party, and the ownership tables stay empty)
   std::int32_t n_shards_ = 1;
   std::vector<Shard> shards_;
   std::vector<std::int32_t> shard_of_router_;  // size routers
@@ -565,8 +597,6 @@ class Simulator : private routing::EngineProbe {
   // Owner of each link's in-flight ring, per flat output port: the shard of
   // the downstream router.
   std::vector<std::int32_t> link_owner_;
-  // Packet-id range bounds per shard (n_shards + 1 entries).
-  std::vector<std::int32_t> shard_id_base_;
   // Cycle-start occupancy snapshot (phits) per flat forward port, refreshed
   // by each port's owner at the merge point; read by the mechanism's remote
   // probes (wants_remote_probes: UGAL-G, PB). Only allocated when such

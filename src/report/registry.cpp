@@ -1089,7 +1089,7 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        "Fault overlay — trigger response to a fault onset",
        "beyond the paper", "dragonfly",
        "Figure-7 machinery with the traffic switch replaced by a fault "
-       "onset: 15% of global links die at t=0 under steady uniform load. "
+       "onset: 25% of global links die at t=0 under steady uniform load. "
        "The contention-counter trigger (Base) reacts to the redistributed "
        "head-of-line contention within tens of cycles; the credit triggers "
        "(OLM, PB) respond only after the surviving links' buffers fill.",

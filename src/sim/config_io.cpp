@@ -1,6 +1,5 @@
 #include "sim/config_io.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <stdexcept>
 #include <type_traits>
@@ -23,22 +22,15 @@ std::string trim(const std::string& s) {
 // value or throws naming the key, format_value writes the text that
 // parse_value reads back to the same value.
 
-/// A number must parse whole and fit its field; unsigned fields refuse a
-/// '-' (std::strtoull would wrap it). A leading '+' is accepted, as strtod's.
+/// A number must parse whole and fit its field (parse_number).
 template <typename T>
   requires std::is_arithmetic_v<T>
 void parse_value(T& out, const std::string& key, const std::string& value) {
-  const char* first = value.data();
-  const char* last = first + value.size();
-  if (value.size() > 1 && value[0] == '+' && value[1] != '-') ++first;
-  T v{};
-  const auto [end, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc() || end != last) {
-    throw std::invalid_argument(
-        "config: bad number for " + key + ": '" + value + "'" +
-        (ec == std::errc::result_out_of_range ? " (out of range)" : ""));
+  try {
+    out = parse_number<T>(value, key);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("config: ") + e.what());
   }
-  out = v;
 }
 
 void parse_value(bool& out, const std::string& key, const std::string& value) {

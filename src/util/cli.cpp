@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <iostream>
 
 namespace dfsim {
 
@@ -60,36 +59,6 @@ std::int64_t CliOptions::parse_int(const std::string& text,
     return fallback;
   }
   return static_cast<std::int64_t>(value);
-}
-
-double CliOptions::parse_double(const std::string& text, double fallback) {
-  if (text.empty()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == text.c_str() || (end != nullptr && *end != '\0')) {
-    return fallback;
-  }
-  return value;
-}
-
-std::int64_t CliOptions::get_int(const std::string& key,
-                                 std::int64_t fallback) const {
-  const Option* opt = find(key);
-  if (opt == nullptr || !opt->has_value) return fallback;
-  const std::int64_t parsed = parse_int(opt->value, fallback);
-  if (parsed == fallback && CliOptions::parse_int(opt->value, fallback + 1) !=
-                                parsed) {  // did not actually parse
-    std::cerr << "warning: --" << key << "=" << opt->value
-              << " is not an integer; using " << fallback << "\n";
-  }
-  return parsed;
-}
-
-double CliOptions::get_double(const std::string& key, double fallback) const {
-  const Option* opt = find(key);
-  if (opt == nullptr || !opt->has_value) return fallback;
-  return parse_double(opt->value, fallback);
 }
 
 std::string CliOptions::env(const std::string& name,

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/format.hpp"
+
 namespace dfsim {
 
 class CliOptions {
@@ -19,26 +21,28 @@ class CliOptions {
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
 
-  /// Numeric lookups fall back (and warn once on stderr) when the value does
-  /// not parse, instead of throwing out of `std::stol`/`std::stod`.
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t fallback) const;
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const;
+  /// Numeric lookup: `fallback` when the flag is absent or valueless;
+  /// otherwise the value must parse whole and fit T (parse_number, the rule
+  /// config values follow), or std::invalid_argument names `--key`.
+  template <typename T>
+  [[nodiscard]] T get_number(const std::string& key, T fallback) const {
+    const Option* opt = find(key);
+    if (opt == nullptr || !opt->has_value) return fallback;
+    return parse_number<T>(opt->value, "--" + key);
+  }
 
   /// Environment variable lookup with fallback.
   [[nodiscard]] static std::string env(const std::string& name,
                                        const std::string& fallback);
-  /// Integer environment lookup that tolerates unset or garbage values.
+  /// Integer environment lookup that tolerates unset or garbage values
+  /// (DFSIM_* knobs stay lenient; flags do not).
   [[nodiscard]] static std::int64_t env_int(const std::string& name,
                                             std::int64_t fallback);
 
-  /// Tolerant parses used by both CLI and env paths. Return the fallback on
-  /// empty/garbage input rather than throwing.
+  /// Tolerant parse behind env_int: the fallback on empty/garbage input
+  /// rather than a throw.
   [[nodiscard]] static std::int64_t parse_int(const std::string& text,
                                               std::int64_t fallback);
-  [[nodiscard]] static double parse_double(const std::string& text,
-                                           double fallback);
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

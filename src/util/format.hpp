@@ -1,10 +1,14 @@
-// Number formatting shared by the config text and the JSON writer.
+// Number formatting shared by the config text and the JSON writer, and the
+// one whole-parse rule that config values and command-line numbers follow.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace dfsim {
 
@@ -24,6 +28,25 @@ namespace dfsim {
     if (std::strtod(buf, nullptr) == v) break;
   }
   return buf;
+}
+
+/// All of `text` must parse as one T that fits (std::from_chars, so an
+/// unsigned T refuses '-'); a single leading '+' is read. Otherwise throws
+/// std::invalid_argument naming `what` (a config key or a --flag).
+template <typename T>
+  requires std::is_arithmetic_v<T>
+[[nodiscard]] T parse_number(const std::string& text, const std::string& what) {
+  const char* first = text.data();
+  const char* last = first + text.size();
+  if (text.size() > 1 && text[0] == '+' && text[1] != '-') ++first;
+  T v{};
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec != std::errc() || end != last) {
+    throw std::invalid_argument(
+        "bad number for " + what + ": '" + text + "'" +
+        (ec == std::errc::result_out_of_range ? " (out of range)" : ""));
+  }
+  return v;
 }
 
 }  // namespace dfsim

@@ -1,7 +1,9 @@
-// CliOptions: flag parsing, numeric fallbacks, and tolerant env parsing
-// (the bench/common.cpp DFSIM_WARMUP/DFSIM_MEASURE fix).
+// CliOptions: flag parsing, whole-parse numeric flags, and tolerant env
+// parsing (the bench/common.cpp DFSIM_WARMUP/DFSIM_MEASURE fix).
 #include <cassert>
+#include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,31 +20,54 @@ int main() {
     assert(cli.get("scale") == "tiny");
     assert(cli.has("csv"));
     assert(cli.get("csv").empty());
-    assert(cli.get_int("warmup", 0) == 800);  // last occurrence wins
-    assert(cli.get_double("load", 0.0) == 0.35);
+    assert(cli.get_number<std::int64_t>("warmup", 0) == 800);  // last wins
+    assert(cli.get_number("load", 0.0) == 0.35);
     assert(!cli.has("measure"));
-    assert(cli.get_int("measure", 123) == 123);
+    assert(cli.get_number<std::int64_t>("measure", 123) == 123);
     assert(cli.get("missing", "fallback") == "fallback");
     assert(cli.positional().size() == 1);
     assert(cli.positional()[0] == "positional");
   }
 
-  // Garbage numeric values fall back instead of throwing.
+  // Numeric flags parse whole and fit their type, or throw naming the flag.
   {
-    const char* argv[] = {"prog", "--warmup=banana", "--load=1.5x"};
-    CliOptions cli(3, const_cast<char**>(argv));
-    assert(cli.get_int("warmup", 42) == 42);
-    assert(cli.get_double("load", 0.5) == 0.5);
+    const char* argv[] = {"prog",
+                          "--warmup=banana",
+                          "--load=1.5x",
+                          "--threads=2x",
+                          "--reps=4294967297",
+                          "--seed=18446744073709551616",
+                          "--big=18446744073709551615",
+                          "--plus=+7"};
+    CliOptions cli(8, const_cast<char**>(argv));
+    const auto throws_naming = [&](auto read, const std::string& flag) {
+      try {
+        read();
+      } catch (const std::invalid_argument& e) {
+        return std::string(e.what()).find(flag) != std::string::npos;
+      }
+      return false;
+    };
+    assert(throws_naming(
+        [&] { (void)cli.get_number<std::int64_t>("warmup", 42); }, "--warmup"));
+    assert(throws_naming([&] { (void)cli.get_number("load", 0.5); }, "--load"));
+    assert(throws_naming([&] { (void)cli.get_number("threads", 0); },
+                         "--threads"));
+    assert(throws_naming([&] { (void)cli.get_number<std::int32_t>("reps", 1); },
+                         "--reps"));
+    assert(throws_naming(
+        [&] { (void)cli.get_number<std::uint64_t>("seed", 1); }, "--seed"));
+    // The full uint64 range, and a leading '+', as config values read them.
+    assert(cli.get_number<std::uint64_t>("big", 1) == 18446744073709551615ull);
+    assert(cli.get_number("plus", 0) == 7);
   }
 
-  // parse_int/parse_double cover the env paths used by bench/common.cpp.
+  // parse_int covers the env paths used by bench/common.cpp.
   assert(CliOptions::parse_int("", 7) == 7);
   assert(CliOptions::parse_int("  ", 7) == 7);
   assert(CliOptions::parse_int("1000", 7) == 1000);
   assert(CliOptions::parse_int("10garbage", 7) == 7);
   assert(CliOptions::parse_int("-250", 7) == -250);
-  assert(CliOptions::parse_double("0.25", 1.0) == 0.25);
-  assert(CliOptions::parse_double("nope", 1.0) == 1.0);
 
   // env / env_int: unset, valid, and garbage values.
   unsetenv("DFSIM_TEST_VAR");

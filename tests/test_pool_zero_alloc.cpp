@@ -1,7 +1,8 @@
 // Acceptance gate: Simulator::step() at the medium preset performs zero heap
 // allocations after warmup. allocation_events() counts packet-pool growth,
 // calendar-bucket growth and delivery-log growth; it must be flat across the
-// post-warmup window.
+// post-warmup window. The last case runs four shards, where every shard's
+// pool, mailboxes and rings must hold the same property.
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -69,6 +70,43 @@ int main() {
     return EXIT_FAILURE;
   }
   assert(sim3.metrics().delivered > 0);
+
+  // Four shards under saturated ADV+1, with a global-link fault onset in
+  // warmup so the purge walks the in-flight rings. Odd-length run() calls
+  // end on both cycle parities, each leaving cross-shard link sends pending
+  // in an outbox; the pools, queues, rings and those sends must still
+  // account for every packet.
+  SimParams sharded = presets::medium();
+  sharded.routing.kind = RoutingKind::kCbBase;
+  sharded.traffic.kind = TrafficKind::kAdversarial;
+  sharded.traffic.adv_offset = 1;
+  sharded.traffic.load = 0.6;
+  sharded.engine.threads = 4;
+  sharded.fault.enabled = true;
+  sharded.fault.onset = 1000;
+  sharded.fault.link_fail_fraction = 0.05;
+  sharded.fault.link_class = "global";
+  Simulator sim4(sharded);
+  std::int64_t base4 = 0;
+  for (const Cycle n : {Cycle{999}, Cycle{501}, Cycle{101}, Cycle{333},
+                        Cycle{77}, Cycle{489}}) {
+    sim4.run(n);
+    if (!sim4.debug_check_active_state() || sim4.conservation_error() != 0) {
+      std::fprintf(stderr, "sharded accounting broken at cycle %lld\n",
+                   static_cast<long long>(sim4.now()));
+      return EXIT_FAILURE;
+    }
+    if (sim4.now() == 1500) base4 = sim4.allocation_events();  // warm
+  }
+  if (sim4.allocation_events() != base4) {
+    std::fprintf(stderr, "sharded run allocated after warmup: %lld -> %lld\n",
+                 static_cast<long long>(base4),
+                 static_cast<long long>(sim4.allocation_events()));
+    return EXIT_FAILURE;
+  }
+  assert(sim4.pool_grow_events() == 0);
+  assert(sim4.lifetime_totals().dropped > 0);  // the onset purged rings
+  assert(sim4.metrics().refused > 0);          // saturated
 
   return EXIT_SUCCESS;
 }

@@ -28,6 +28,15 @@
 // (5) The phase profiler is a per-shard wall-clock overlay: profiled runs
 //     are byte-identical to unprofiled ones, count every cycle once, and
 //     record barrier wait.
+// (6) Sharded results are pinned across builds: the fault-onset ADV+1 run
+//     at threads 2 and 4 under Hybrid, PB, ARN (throttled), VAL and OLM
+//     hashes to committed values, as do two variants of it. Between them
+//     these runs read every packet field a cross-shard link send carries
+//     (VAL: the Valiant phase and its gateway port; OLM: local detours; a
+//     low fault hop cap: hop counts; a uniform torus under Base: the
+//     source, since torus transit decisions happen only at the source
+//     router), so a layout change that drops or garbles one moves a hash.
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -60,22 +69,28 @@ RunCapture capture(const Simulator& sim) {
   return cap;
 }
 
-RunCapture run_once(std::int32_t threads, std::int32_t jitter_us,
-                    RoutingKind kind = RoutingKind::kCbHybrid) {
-  Simulator::debug_set_shard_jitter(jitter_us);
+// Tiny ADV+1 with a fault onset inside run_once's measured window.
+SimParams faulted_adv1() {
   SimParams p = presets::tiny();
-  p.routing.kind = kind;
-  // ARN runs with the throttle, to exercise the refusal path too.
-  if (kind == RoutingKind::kArn) p.notify.throttle_injection = true;
   p.traffic.kind = TrafficKind::kAdversarial;
   p.traffic.load = 0.35;
   p.traffic.adv_offset = 1;
-  p.seed = 4242;
-  p.engine.threads = threads;
   p.fault.enabled = true;
   p.fault.onset = 500;
   p.fault.link_fail_fraction = 0.05;
   p.fault.link_class = "global";
+  return p;
+}
+
+RunCapture run_once(std::int32_t threads, std::int32_t jitter_us,
+                    RoutingKind kind = RoutingKind::kCbHybrid,
+                    SimParams p = faulted_adv1()) {
+  Simulator::debug_set_shard_jitter(jitter_us);
+  p.routing.kind = kind;
+  // ARN runs with the throttle, to exercise the refusal path too.
+  if (kind == RoutingKind::kArn) p.notify.throttle_injection = true;
+  p.seed = 4242;
+  p.engine.threads = threads;
   Simulator sim(p);
   sim.enable_delivery_log();
   sim.run(300);
@@ -169,6 +184,46 @@ bool identical(const RunCapture& a, const RunCapture& b) {
     }
   }
   return true;
+}
+
+// FNV-1a over every captured value in a fixed order: metrics (latency
+// histogram included), lifetime totals, the in-network count and the
+// delivery log.
+std::uint64_t hash_capture(const RunCapture& c) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto add_i = [&add](std::int64_t v) {
+    add(static_cast<std::uint64_t>(v));
+  };
+  const Simulator::Metrics& m = c.metrics;
+  for (const std::int64_t v :
+       {m.delivered, m.delivered_phits, m.misrouted, m.local_misrouted,
+        m.minimal_path, m.generated, m.refused, m.dropped, m.undeliverable,
+        m.dead_link_hops}) {
+    add_i(v);
+  }
+  add(std::bit_cast<std::uint64_t>(m.latency_sum));
+  for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
+    add_i(m.latency_hist.bucket(b));
+  }
+  add_i(m.latency_hist.overflow());
+  for (const std::int64_t v :
+       {c.totals.generated, c.totals.refused, c.totals.delivered,
+        c.totals.dropped, c.totals.undeliverable, c.in_network}) {
+    add_i(v);
+  }
+  add(c.deliveries.size());
+  for (const Simulator::Delivery& d : c.deliveries) {
+    add_i(d.birth);
+    add_i(d.latency);
+    add((d.misrouted ? 1u : 0u) | (d.minimal_path ? 2u : 0u));
+  }
+  return h;
 }
 
 std::string run_doc(std::int32_t threads) {
@@ -289,6 +344,56 @@ int main() {
       return EXIT_FAILURE;
     }
   }
+
+  // --- (6) pinned sharded results ----------------------------------------
+  // Values recorded before packets carried their state across shards; any
+  // layout change must reproduce them exactly.
+  SimParams low_hop_cap = faulted_adv1();
+  low_hop_cap.fault.hop_cap = 5;  // some Valiant paths retire undeliverable
+  SimParams torus_un = presets::torus(8, 2, 2);
+  torus_un.traffic.kind = TrafficKind::kUniform;
+  torus_un.traffic.load = 0.4;
+  struct Pin {
+    RoutingKind kind;
+    std::int32_t threads;
+    std::uint64_t hash;
+    const SimParams* base = nullptr;  // faulted_adv1() when null
+  };
+  const Pin pins[] = {
+      {RoutingKind::kCbHybrid, 2, 0x1f2e57da008bb555ull},
+      {RoutingKind::kCbHybrid, 4, 0xaf071727432b71c1ull},
+      {RoutingKind::kPiggyback, 2, 0xc780a649fb7ed4c7ull},
+      {RoutingKind::kPiggyback, 4, 0x29fedff3c80a7a7dull},
+      {RoutingKind::kArn, 2, 0xfe059ca6419e7e31ull},
+      {RoutingKind::kArn, 4, 0xe83f48adf8937277ull},
+      {RoutingKind::kValiant, 2, 0xbe5b5653a0a97cdbull},
+      {RoutingKind::kValiant, 4, 0xf16427ad2850db95ull},
+      {RoutingKind::kOlm, 2, 0xa4aa33b423e313c0ull},
+      {RoutingKind::kOlm, 4, 0x40a6acd83f841ceeull},
+      {RoutingKind::kValiant, 2, 0x3eaab7a4d5a62812ull, &low_hop_cap},
+      {RoutingKind::kValiant, 4, 0xa8ac7f56cd82c42full, &low_hop_cap},
+      {RoutingKind::kCbBase, 2, 0x84996fa8368abe7aull, &torus_un},
+      {RoutingKind::kCbBase, 4, 0x334f499069e7fa9eull, &torus_un},
+  };
+  bool pins_ok = true;
+  for (const Pin& pin : pins) {
+    const RunCapture cap =
+        pin.base == nullptr ? run_once(pin.threads, 0, pin.kind)
+                            : run_once(pin.threads, 0, pin.kind, *pin.base);
+    const std::uint64_t got = hash_capture(cap);
+    if (got != pin.hash) {
+      std::fprintf(stderr, "%s at threads %d (%s): hash 0x%016llxull, pinned "
+                   "0x%016llxull\n",
+                   to_string(pin.kind).c_str(), pin.threads,
+                   pin.base == &torus_un      ? "torus UN"
+                   : pin.base == &low_hop_cap ? "hop cap 5"
+                                              : "ADV+1",
+                   static_cast<unsigned long long>(got),
+                   static_cast<unsigned long long>(pin.hash));
+      pins_ok = false;
+    }
+  }
+  if (!pins_ok) return EXIT_FAILURE;
 
   return EXIT_SUCCESS;
 }

@@ -143,23 +143,25 @@ RunContext make_context(const CliOptions& cli) {
                   assignment.substr(eq + 1));
     }
   }
+  // Numeric flags parse whole and fit their field, as config values do
+  // (--seed is the seed row's uint64 rule); the DFSIM_* fallbacks stay
+  // lenient.
   default_cycles(ctx.scale, ctx.options.warmup, ctx.options.measure);
-  ctx.options.warmup = cli.get_int(
+  ctx.options.warmup = cli.get_number<Cycle>(
       "warmup", CliOptions::env_int("DFSIM_WARMUP", ctx.options.warmup));
-  ctx.options.measure = cli.get_int(
+  ctx.options.measure = cli.get_number<Cycle>(
       "measure", CliOptions::env_int("DFSIM_MEASURE", ctx.options.measure));
   if (cli.has("reps")) {
-    ctx.options.reps = static_cast<std::int32_t>(cli.get_int("reps", 1));
+    ctx.options.reps = cli.get_number<std::int32_t>("reps", 1);
     ctx.reps = ctx.options.reps;
   }
-  ctx.base.seed = static_cast<std::uint64_t>(
-      cli.get_int("seed", static_cast<std::int64_t>(ctx.base.seed)));
-  ctx.threads = static_cast<int>(cli.get_int("threads", 0));
+  ctx.base.seed = cli.get_number("seed", ctx.base.seed);
+  ctx.threads = cli.get_number("threads", 0);
 
   if (cli.has("loads")) {
     std::vector<double> loads;
     for (const std::string& item : split_csv(cli.get("loads"))) {
-      loads.push_back(std::stod(item));
+      loads.push_back(parse_number<double>(item, "--loads"));
     }
     if (!loads.empty()) ctx.loads = std::move(loads);
   }
@@ -189,31 +191,31 @@ RunContext make_context(const CliOptions& cli) {
     ctx.injection_forced = true;
   }
   if (cli.has("adv-offset")) {
-    ctx.base.traffic.adv_offset = static_cast<std::int32_t>(
-        cli.get_int("adv-offset", ctx.base.traffic.adv_offset));
+    ctx.base.traffic.adv_offset =
+        cli.get_number("adv-offset", ctx.base.traffic.adv_offset);
     ctx.adv_offset_forced = true;
   }
   if (cli.has("shift-offset")) {
-    ctx.base.traffic.shift_offset = static_cast<std::int32_t>(
-        cli.get_int("shift-offset", ctx.base.traffic.shift_offset));
+    ctx.base.traffic.shift_offset =
+        cli.get_number("shift-offset", ctx.base.traffic.shift_offset);
     ctx.shift_offset_forced = true;
   }
   if (cli.has("hotspot-count")) {
-    ctx.base.traffic.hotspot_count = static_cast<std::int32_t>(
-        cli.get_int("hotspot-count", ctx.base.traffic.hotspot_count));
+    ctx.base.traffic.hotspot_count =
+        cli.get_number("hotspot-count", ctx.base.traffic.hotspot_count);
     ctx.hotspot_count_forced = true;
   }
   if (cli.has("hotspot-fraction")) {
     ctx.base.traffic.hotspot_fraction =
-        cli.get_double("hotspot-fraction", ctx.base.traffic.hotspot_fraction);
+        cli.get_number("hotspot-fraction", ctx.base.traffic.hotspot_fraction);
     ctx.hotspot_fraction_forced = true;
   }
-  ctx.base.traffic.mixed_uniform_fraction = cli.get_double(
+  ctx.base.traffic.mixed_uniform_fraction = cli.get_number(
       "mixed-uniform-fraction", ctx.base.traffic.mixed_uniform_fraction);
   ctx.base.traffic.burst_factor =
-      cli.get_double("burst-factor", ctx.base.traffic.burst_factor);
+      cli.get_number("burst-factor", ctx.base.traffic.burst_factor);
   ctx.base.traffic.burst_len =
-      cli.get_double("burst-len", ctx.base.traffic.burst_len);
+      cli.get_number("burst-len", ctx.base.traffic.burst_len);
   return ctx;
 }
 
@@ -367,8 +369,8 @@ int cmd_check(const CliOptions& cli) {
   const std::vector<ResultsDoc> docs = load_docs(cli.get("in"));
   const std::vector<GateOutcome> gates =
       evaluate_gates(docs, cli.get("goldens", ""),
-                     cli.get_double("rel-tol", 0.05),
-                     cli.get_double("abs-tol", 0.05));
+                     cli.get_number("rel-tol", 0.05),
+                     cli.get_number("abs-tol", 0.05));
   return print_gates(gates);
 }
 
@@ -377,8 +379,8 @@ int cmd_render(const CliOptions& cli) {
   const std::vector<ResultsDoc> docs = load_docs(cli.get("in"));
   const std::vector<GateOutcome> gates =
       evaluate_gates(docs, cli.get("goldens", ""),
-                     cli.get_double("rel-tol", 0.05),
-                     cli.get_double("abs-tol", 0.05));
+                     cli.get_number("rel-tol", 0.05),
+                     cli.get_number("abs-tol", 0.05));
   const std::string out = cli.get("out", "RESULTS.md");
   write_file(out, render_markdown(docs, gates));
   std::cout << "wrote " << out << " (" << docs.size() << " experiments, "
@@ -391,8 +393,8 @@ int cmd_gate(const CliOptions& cli) {
   const std::vector<ResultsDoc> docs = run_selected(cli);
   const std::vector<GateOutcome> gates =
       evaluate_gates(docs, cli.get("goldens"),
-                     cli.get_double("rel-tol", 0.05),
-                     cli.get_double("abs-tol", 0.05));
+                     cli.get_number("rel-tol", 0.05),
+                     cli.get_number("abs-tol", 0.05));
   return print_gates(gates);
 }
 
@@ -409,16 +411,15 @@ int cmd_observe(const CliOptions& cli) {
   if (cli.has("routing")) {
     p.routing.kind = routing_kind_from_string(cli.get("routing"));
   }
-  p.traffic.load = cli.get_double("load", p.traffic.load);
+  p.traffic.load = cli.get_number("load", p.traffic.load);
   p.telemetry.enabled = true;
-  p.telemetry.sample_period = static_cast<Cycle>(
-      cli.get_int("sample-period", p.telemetry.sample_period));
-  p.telemetry.max_samples = static_cast<std::int32_t>(
-      cli.get_int("max-samples", p.telemetry.max_samples));
+  p.telemetry.sample_period =
+      cli.get_number("sample-period", p.telemetry.sample_period);
+  p.telemetry.max_samples =
+      cli.get_number("max-samples", p.telemetry.max_samples);
   p.trace.enabled = true;
-  p.trace.sample_rate = cli.get_double("trace-rate", p.trace.sample_rate);
-  p.trace.max_events = static_cast<std::int64_t>(
-      cli.get_int("trace-max-events", p.trace.max_events));
+  p.trace.sample_rate = cli.get_number("trace-rate", p.trace.sample_rate);
+  p.trace.max_events = cli.get_number("trace-max-events", p.trace.max_events);
 
   Simulator sim(p);
   sim.run(ctx.options.warmup);
@@ -492,18 +493,14 @@ int cmd_perf(const CliOptions& cli) {
       split_csv(cli.get("scales", "tiny,medium"));
   std::vector<double> loads;
   for (const std::string& item : split_csv(cli.get("loads", "0.05,0.3"))) {
-    try {
-      loads.push_back(std::stod(item));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("perf: bad --loads entry '" + item + "'");
-    }
+    loads.push_back(parse_number<double>(item, "--loads"));
   }
   const RoutingKind routing =
       routing_kind_from_string(cli.get("routing", "Base"));
   const TrafficKind traffic =
       traffic_kind_from_string(cli.get("traffic", "uniform"));
-  const Cycle warmup = cli.get_int("warmup", 500);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const Cycle warmup = cli.get_number<Cycle>("warmup", 500);
+  const std::uint64_t seed = cli.get_number<std::uint64_t>("seed", 1);
   // --engine-threads=1,2,8 measures the same points at several shard
   // counts (engine.threads), turning the trajectory file into a scaling
   // record. Points are tagged with their shard count; baseline matching is
@@ -512,12 +509,8 @@ int cmd_perf(const CliOptions& cli) {
   std::vector<std::int32_t> thread_counts;
   for (const std::string& item :
        split_csv(cli.get("engine-threads", "1"))) {
-    try {
-      thread_counts.push_back(std::stoi(item));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("perf: bad --engine-threads entry '" +
-                                  item + "'");
-    }
+    thread_counts.push_back(
+        parse_number<std::int32_t>(item, "--engine-threads"));
   }
   // --phases folds the engine's per-phase wall-time accounting (summed over
   // shards, barrier wait included) into each point. The profiler's clock
@@ -536,7 +529,7 @@ int cmd_perf(const CliOptions& cli) {
       p.traffic.load = load;
       p.seed = seed;
       p.engine.threads = threads;
-      const Cycle cycles = cli.get_int("cycles", default_perf_cycles(scale));
+      const Cycle cycles = cli.get_number("cycles", default_perf_cycles(scale));
 
       Simulator sim(p);
       if (phases) sim.enable_phase_profiler();
@@ -655,7 +648,7 @@ int cmd_perf(const CliOptions& cli) {
     std::cerr << "perf: --phases run, skipping baseline comparison\n";
   }
   if (base_ok && !phases) {
-    const double threshold = cli.get_double("threshold", 0.2);
+    const double threshold = cli.get_number("threshold", 0.2);
     // Prefer the baseline's most recent history entry (the actual latest
     // measurement); fall back to its top-level points for pre-history files.
     const Json* base_points = &base.get("points");

@@ -1,46 +1,47 @@
 #include "engine/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 namespace dfsim {
 
 namespace {
 
-/// Runs `sim` forward `cycles` cycles in `window`-sized chunks, stopping early
-/// when no packet has been delivered over a full window while packets are
-/// still in the network (deadlock / total blackout under a fault schedule),
-/// or when the optional wall-clock cap trips. Returns false on early stop.
+/// No-progress watchdog: a rep that goes this many consecutive cycles
+/// without a single delivery while packets sit in the network (deadlock /
+/// total blackout under a fault schedule) stops early and its result is
+/// flagged timed_out instead of hanging. Deterministic (cycle-based).
+constexpr Cycle kProgressWindow = 50000;
+/// Extra cycles a transient simulates past `post` so late-born packets still
+/// deliver into their birth buckets.
+constexpr Cycle kTransientDrain = 2000;
+
+/// Runs `sim` forward `cycles` cycles in kProgressWindow-sized chunks,
+/// stopping early when no packet has been delivered over a full window while
+/// packets are still in the network (deadlock / total blackout under a fault
+/// schedule). Returns false on early stop.
 ///
 /// Chunked stepping is bit-exact with one long run — run(a); run(b) is
 /// identical to run(a + b) — so healthy results are unchanged by the window.
-bool run_guarded(Simulator& sim, Cycle cycles, Cycle window,
-                 double wall_limit_s,
+bool run_guarded(Simulator& sim, Cycle cycles,
                  const std::function<void(Cycle, std::int64_t, double)>&
-                     heartbeat = nullptr) {
-  if (cycles <= 0) return true;
-  if (window <= 0 && wall_limit_s <= 0.0 && !heartbeat) {
-    sim.run(cycles);
-    return true;
-  }
+                     heartbeat) {
   const auto start = std::chrono::steady_clock::now();
-  const Cycle chunk = window > 0 ? window : cycles;
-  Cycle remaining = cycles;
-  while (remaining > 0) {
-    const Cycle step = remaining < chunk ? remaining : chunk;
+  for (Cycle remaining = cycles; remaining > 0;) {
+    const Cycle step = std::min(remaining, kProgressWindow);
     const std::int64_t delivered_before = sim.lifetime_totals().delivered;
     sim.run(step);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
     if (heartbeat) {
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - start;
       heartbeat(sim.now(), sim.lifetime_totals().delivered, elapsed.count());
     }
-    if (window > 0 && step == chunk &&
+    if (step == kProgressWindow &&
         sim.lifetime_totals().delivered == delivered_before &&
         sim.packets_in_network() > 0) {
       return false;  // a full window with live packets but zero progress
     }
     remaining -= step;
-    if (wall_limit_s > 0.0 && elapsed.count() > wall_limit_s) return false;
   }
   return true;
 }
@@ -60,13 +61,9 @@ SteadyResult run_steady(const SimParams& params, const SteadyOptions& options) {
     SimParams p = params;
     p.seed = params.seed + static_cast<std::uint64_t>(rep) * 7919u;
     Simulator sim(p);
-    bool ok = run_guarded(sim, options.warmup, options.progress_window,
-                          options.wall_limit_s, options.heartbeat);
+    bool ok = run_guarded(sim, options.warmup, options.heartbeat);
     sim.begin_measurement();
-    if (ok) {
-      ok = run_guarded(sim, options.measure, options.progress_window,
-                       options.wall_limit_s, options.heartbeat);
-    }
+    if (ok) ok = run_guarded(sim, options.measure, options.heartbeat);
     if (!ok) acc.timed_out += 1.0;
 
     const Simulator::Metrics& m = sim.metrics();
@@ -179,19 +176,13 @@ TransientResult run_transient(const SimParams& params,
     p.seed = params.seed + static_cast<std::uint64_t>(rep) * 7919u;
     p.traffic = options.before;
     Simulator sim(p);
-    bool ok = run_guarded(sim, options.warmup, options.progress_window,
-                          options.wall_limit_s, options.heartbeat);
+    bool ok = run_guarded(sim, options.warmup, options.heartbeat);
     sim.enable_delivery_log();
-    if (ok) {
-      ok = run_guarded(sim, options.pre, options.progress_window,
-                       options.wall_limit_s, options.heartbeat);
-    }
+    if (ok) ok = run_guarded(sim, options.pre, options.heartbeat);
     const Cycle switch_cycle = sim.now();
     sim.set_traffic(options.after);
     if (ok) {
-      ok = run_guarded(sim, options.post + options.drain,
-                       options.progress_window, options.wall_limit_s,
-                       options.heartbeat);
+      ok = run_guarded(sim, options.post + kTransientDrain, options.heartbeat);
     }
     if (!ok) result.mark_timed_out();
 

@@ -16,20 +16,11 @@ struct SteadyOptions {
   Cycle warmup = 2000;
   Cycle measure = 3000;
   std::int32_t reps = 1;
-  /// No-progress watchdog: a rep that goes `progress_window` consecutive
-  /// cycles without a single delivery while packets sit in the network
-  /// (deadlock / total blackout under a fault schedule) stops early and the
-  /// result is flagged timed_out instead of hanging ctest/CI. Deterministic
-  /// (cycle-based), and chunked stepping is bit-exact with one long run, so
-  /// healthy results are unchanged for any window. <= 0 disables.
-  Cycle progress_window = 50000;
-  /// Optional wall-clock cap per rep in seconds; 0 disables. CI backstop
-  /// only — tripping it makes results machine-dependent.
-  double wall_limit_s = 0.0;
-  /// Optional progress heartbeat, invoked after every watchdog chunk with
-  /// the sim's current cycle, lifetime deliveries, and wall seconds elapsed
-  /// in the current guarded run. Purely observational — results are
-  /// bit-exact with and without it. Null disables.
+  /// Optional progress heartbeat, invoked after every watchdog chunk (50000
+  /// cycles, see experiment.cpp) with the sim's current cycle, lifetime
+  /// deliveries, and wall seconds elapsed in the current guarded run. Purely
+  /// observational — results are bit-exact with and without it. Null
+  /// disables.
   std::function<void(Cycle, std::int64_t, double)> heartbeat;
 };
 
@@ -73,12 +64,6 @@ struct TransientOptions {
   Cycle pre = 50;    // observed cycles before the switch
   Cycle post = 250;  // observed cycles after the switch
   std::int32_t reps = 1;
-  /// Extra cycles simulated past `post` so late-born packets still deliver
-  /// into their birth buckets.
-  Cycle drain = 2000;
-  /// No-progress watchdog (see SteadyOptions::progress_window).
-  Cycle progress_window = 50000;
-  double wall_limit_s = 0.0;
   /// Progress heartbeat (see SteadyOptions::heartbeat).
   std::function<void(Cycle, std::int64_t, double)> heartbeat;
 };

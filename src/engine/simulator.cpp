@@ -6,6 +6,8 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "engine/head_wait.hpp"
@@ -32,20 +34,34 @@ Simulator::Simulator(const SimParams& params,
   fwd_ = topo_.forward_ports();
   vmax_ = std::max({params_.router.vcs_local, params_.router.vcs_global,
                     params_.router.vcs_injection});
-  psize_ = std::max(1, params_.packet_size_phits);
+  psize_ = params_.packet_size_phits;
 
   if (params_.engine.threads < 1) {
     throw std::invalid_argument("engine.threads must be >= 1");
   }
-  // A class with no VC would make vc_for() return VC -1, and a speedup
-  // below 1 runs no allocator iteration, so nothing ever departs.
-  for (const auto& [key, value] :
-       {std::pair{"router.vcs_local", params_.router.vcs_local},
-        std::pair{"router.vcs_global", params_.router.vcs_global},
-        std::pair{"router.vcs_injection", params_.router.vcs_injection},
-        std::pair{"router.speedup", params_.router.speedup}}) {
-    if (value < 1) {
-      throw std::invalid_argument(std::string(key) + " must be >= 1");
+  // Nonsense physics is rejected by name instead of running. A class with no
+  // VC would make vc_for() return VC -1; a speedup below 1 runs no allocator
+  // iteration, so nothing ever departs; a packet needs a phit and an
+  // injection slot; delays cannot be negative; and a buffer must hold at
+  // least one packet.
+  for (const auto& [key, value, least] :
+       {std::tuple{"router.vcs_local", params_.router.vcs_local, 1},
+        std::tuple{"router.vcs_global", params_.router.vcs_global, 1},
+        std::tuple{"router.vcs_injection", params_.router.vcs_injection, 1},
+        std::tuple{"router.speedup", params_.router.speedup, 1},
+        std::tuple{"packet_size_phits", psize_, 1},
+        std::tuple{"router.injection_queue_packets",
+                   params_.router.injection_queue_packets, 1},
+        std::tuple{"router.pipeline_cycles", params_.router.pipeline_cycles, 0},
+        std::tuple{"link.local_latency", params_.link.local_latency, 0},
+        std::tuple{"link.global_latency", params_.link.global_latency, 0},
+        std::tuple{"router.buf_local_phits", params_.router.buf_local_phits,
+                   psize_},
+        std::tuple{"router.buf_global_phits", params_.router.buf_global_phits,
+                   psize_}}) {
+    if (value < least) {
+      throw std::invalid_argument(std::string(key) + " must be >= " +
+                                  std::to_string(least));
     }
   }
   // More shards than routers would leave some empty; clamp instead.
@@ -134,10 +150,8 @@ void Simulator::build_layout() {
   q_request_.assign(n_q, -1);
   q_wait_.assign(n_q, 0);
 
-  const std::int32_t cap_local =
-      std::max(1, params_.router.buf_local_phits / psize_);
-  const std::int32_t cap_global =
-      std::max(1, params_.router.buf_global_phits / psize_);
+  const std::int32_t cap_local = params_.router.buf_local_phits / psize_;
+  const std::int32_t cap_global = params_.router.buf_global_phits / psize_;
   const std::int32_t cap_inj = params_.router.injection_queue_packets;
 
   std::int32_t offset = 0;
@@ -233,13 +247,15 @@ void Simulator::build_layout() {
     // Degraded links hold packets up to max_extra_latency longer.
     const std::int32_t extra = fault_on_ ? fault_.max_extra_latency() : 0;
     ring_span_[l].cap = (link_delay_[l] + extra) / psize_ + 2;
-    block[static_cast<std::size_t>(ring_owner(l)) + 1] += ring_span_[l].cap;
+    const auto owner = static_cast<std::size_t>(port_owner(down_port_[l]));
+    block[owner + 1] += ring_span_[l].cap;
     max_flight = std::max(max_flight, link_delay_[l] + extra);
   }
   std::partial_sum(block.begin(), block.end(), block.begin());
   for (std::size_t l = 0; l < n_out; ++l) {
     if (down_port_[l] < 0) continue;
-    std::int32_t& next = block[static_cast<std::size_t>(ring_owner(l))];
+    std::int32_t& next =
+        block[static_cast<std::size_t>(port_owner(down_port_[l]))];
     ring_span_[l].offset = next;
     next += ring_span_[l].cap;
   }
@@ -271,7 +287,7 @@ void Simulator::build_shards() {
   std::vector<std::size_t> ring_slots(static_cast<std::size_t>(n_shards_), 0);
   for (std::size_t l = 0; l < n_out; ++l) {
     if (down_port_[l] < 0) continue;
-    ring_slots[static_cast<std::size_t>(ring_owner(l))] +=
+    ring_slots[static_cast<std::size_t>(port_owner(down_port_[l]))] +=
         static_cast<std::size_t>(ring_span_[l].cap);
   }
 
@@ -322,18 +338,6 @@ void Simulator::build_shards() {
 
   barrier_ = std::make_unique<SpinBarrier>(n_shards_);
   if (n_shards_ == 1) return;
-
-  // Ownership tables, derived from the wiring rather than topology
-  // symmetry assumptions: the credit counter of input port p belongs to
-  // whichever shard departs packets into it (the router of credit_port_[p]),
-  // and a link's in-flight ring belongs to the downstream router's shard.
-  credit_owner_.assign(n_out, 0);
-  link_owner_.assign(n_out, 0);
-  for (std::size_t p = 0; p < n_out; ++p) {
-    credit_owner_[p] =
-        shard_of_router_[static_cast<std::size_t>(credit_port_[p] / radix_)];
-    if (down_port_[p] >= 0) link_owner_[p] = ring_owner(p);
-  }
 
   for (Shard& sh : shards_) {
     // Reserving these at one shard too, after the per-queue arrays, raised
@@ -416,17 +420,16 @@ void Simulator::return_credit(Shard& sh, std::int32_t port, VcIndex vc) {
   // The credit belongs to the upstream shard; a remote owner gets it through
   // its inbox at its next merge (the one-cycle credit delay documented in
   // ARCHITECTURE.md).
-  const std::size_t c = credit_index(
-      static_cast<std::size_t>(credit_port_[static_cast<std::size_t>(port)]),
-      vc);
-  if (owns_credit(sh, port)) {
+  const std::int32_t up = credit_port_[static_cast<std::size_t>(port)];
+  const std::size_t c = credit_index(static_cast<std::size_t>(up), vc);
+  if (owns_port(sh, up)) {
     ++q_free_[c];
     return;
   }
   ShardMessage m;
   m.kind = ShardMessage::Kind::kCredit;
   m.queue = static_cast<std::int32_t>(c);
-  push_msg(sh, credit_owner_[static_cast<std::size_t>(port)], m);
+  push_msg(sh, port_owner(up), m);
 }
 
 void Simulator::on_new_head(Shard& sh, std::int32_t q) {
@@ -903,7 +906,8 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
                        static_cast<std::uint8_t>(out));
   }
   const VcIndex vcn = vc_for(pool, r, out, packet);  // pre-transition state
-  const std::int32_t down = down_port_[flat] * vmax_ + vcn;
+  const std::int32_t down_in = down_port_[flat];
+  const std::int32_t down = down_in * vmax_ + vcn;
   --q_free_[credit_index(flat, vcn)];
 
   const HopTransition hop = topo_.on_hop(r, out, pool.g_hops[pi]);
@@ -918,7 +922,7 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
 
   Cycle arrival = now_ + link_delay_[flat];
   if (fault_on_) arrival += health_.extra_latency(r, out);
-  if (owns_link(sh, flat)) {
+  if (owns_port(sh, down_in)) {
     ring_insert(sh, flat, LinkEvent{arrival, packet, down});
   } else {
     // The ring belongs to the downstream shard: hand the traversal over
@@ -932,7 +936,7 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
     m.arrival = arrival;
     m.packet = pool.load(packet);
     pool.release(packet);
-    push_msg(sh, link_owner_[flat], m);
+    push_msg(sh, port_owner(down_in), m);
   }
 }
 
@@ -1013,12 +1017,12 @@ void Simulator::purge_faulted_rings(Shard& sh) {
   // at the next merge.
   for (const std::int32_t id : fault_.faulty_links()) {
     const auto l = static_cast<std::size_t>(id);
-    if (!owns_link(sh, l)) continue;
+    const std::int32_t down = down_port_[l];
+    if (!owns_port(sh, down)) continue;
     const RingSpan span = ring_span_[l];
     RingCursor& ring = sh.rings[l];
     if (ring.count == 0 || health_.link_up(id / radix_, id % radix_)) continue;
     // The ring's one wheel bit sits in its front's bucket.
-    const std::int32_t down = down_port_[l];
     wheel_mark(sh, l,
                ring_slab_[static_cast<std::size_t>(span.offset + ring.head)]
                    .arrival,
@@ -1444,11 +1448,10 @@ bool Simulator::debug_check_active_state() const {
   // non-empty ring has exactly one bit and a front in [now, now + W).
   const std::size_t links = down_port_.size();
   const auto front_arrival = [&](std::size_t l) {
-    return ring_slab_[static_cast<std::size_t>(
-                          ring_span_[l].offset +
-                          shards_[static_cast<std::size_t>(ring_owner(l))]
-                              .rings[l]
-                              .head)]
+    const Shard& owner =
+        shards_[static_cast<std::size_t>(port_owner(down_port_[l]))];
+    return ring_slab_[static_cast<std::size_t>(ring_span_[l].offset +
+                                               owner.rings[l].head)]
         .arrival;
   };
   std::vector<std::int32_t> wheel_bits(links, 0);
@@ -1463,7 +1466,8 @@ bool Simulator::debug_check_active_state() const {
         }
         for (std::uint64_t m = word; m != 0; m &= m - 1) {
           const std::size_t l = w * 64 + std::countr_zero(m);
-          if (l >= links || down_port_[l] < 0 || !owns_link(sh, l) ||
+          if (l >= links || down_port_[l] < 0 ||
+              !owns_port(sh, down_port_[l]) ||
               sh.rings[l].count == 0 ||
               (front_arrival(l) & wheel_mask_) != b) {
             return false;
@@ -1484,7 +1488,7 @@ bool Simulator::debug_check_active_state() const {
       return false;
     }
     // Only the owner's cursor of a ring ever moves.
-    const auto owner = static_cast<std::size_t>(ring_owner(l));
+    const auto owner = static_cast<std::size_t>(port_owner(down_port_[l]));
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       if (i != owner && shards_[i].rings[l].count != 0) return false;
     }

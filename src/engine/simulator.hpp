@@ -403,11 +403,6 @@ class Simulator : private routing::EngineProbe {
   /// Appends `ev` to link `flat`'s in-flight ring, arming the ring's wheel
   /// bit when it goes non-empty.
   void ring_insert(Shard& sh, std::size_t flat, const LinkEvent& ev);
-  /// Shard owning link `flat`'s in-flight ring: its downstream router's.
-  [[nodiscard]] std::int32_t ring_owner(std::size_t flat) const {
-    return shard_of_router_[static_cast<std::size_t>(down_port_[flat] /
-                                                     radix_)];
-  }
   /// First router of shard `i`: shard i owns [shard_begin(i),
   /// shard_begin(i + 1)), contiguous balanced ranges.
   [[nodiscard]] RouterId shard_begin(std::int32_t i) const {
@@ -428,15 +423,16 @@ class Simulator : private routing::EngineProbe {
   /// remote-occupancy snapshot.
   void merge_inboxes(Shard& sh);
   void push_msg(Shard& sh, std::int32_t dst, const ShardMessage& msg);
-  /// Ownership tests: the credit counters of flat input port `port`, and
-  /// the in-flight ring of flat link `flat`. With one shard every test is
-  /// true and no ownership table is built or read.
-  [[nodiscard]] bool owns_credit(const Shard& sh, std::int32_t port) const {
-    return n_shards_ == 1 ||
-           credit_owner_[static_cast<std::size_t>(port)] == sh.index;
+  /// One ownership rule: shard `sh` owns the flat ports of its routers,
+  /// [r_lo * radix, r_hi * radix). So it owns the credit counters of its
+  /// output ports and the in-flight rings of the links into its input ports.
+  [[nodiscard]] bool owns_port(const Shard& sh, std::int32_t port) const {
+    return port >= sh.r_lo * radix_ && port < sh.r_hi * radix_;
   }
-  [[nodiscard]] bool owns_link(const Shard& sh, std::size_t flat) const {
-    return n_shards_ == 1 || link_owner_[flat] == sh.index;
+  /// The shard owning flat port `port`. The cycle reads it only to address
+  /// a message that crosses shards.
+  [[nodiscard]] std::int32_t port_owner(std::int32_t port) const {
+    return shard_of_router_[static_cast<std::size_t>(port / radix_)];
   }
   /// The ECtN overhead monitor's own schedule (API-enabled, serial only).
   [[nodiscard]] bool monitor_update_due() const;
@@ -586,17 +582,11 @@ class Simulator : private routing::EngineProbe {
   std::size_t wheel_sum_words_ = 0;
   std::size_t wheel_stride_ = 0;
 
-  // --- sharded execution (n_shards_ == 1: shards_[0] spans everything, the
-  // barrier has one party, and the ownership tables stay empty)
+  // --- sharded execution (n_shards_ == 1: shards_[0] spans everything and
+  // the barrier has one party)
   std::int32_t n_shards_ = 1;
   std::vector<Shard> shards_;
   std::vector<std::int32_t> shard_of_router_;  // size routers
-  // Owner of each queue's credit counter, per flat input port
-  // (routers * radix): the shard of the router upstream of that queue.
-  std::vector<std::int32_t> credit_owner_;
-  // Owner of each link's in-flight ring, per flat output port: the shard of
-  // the downstream router.
-  std::vector<std::int32_t> link_owner_;
   // Cycle-start occupancy snapshot (phits) per flat forward port, refreshed
   // by each port's owner at the merge point; read by the mechanism's remote
   // probes (wants_remote_probes: UGAL-G, PB). Only allocated when such

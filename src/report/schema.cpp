@@ -110,8 +110,8 @@ Json to_json(const ResultsDoc& doc) {
   root.set("scale", Json(h.scale));
   root.set("nodes", Json(static_cast<double>(h.nodes)));
   root.set("config_hash", Json(h.config_hash));
-  // Schema-additive shard metadata: absent for serial runs so existing
-  // goldens and v1/v2 readers are untouched.
+  // Schema-additive shard metadata: absent for serial runs, so serial
+  // documents (the committed goldens among them) keep their bytes.
   if (h.engine_threads != 1) {
     root.set("engine_threads", Json(static_cast<double>(h.engine_threads)));
     root.set("config_hash_serial", Json(h.config_hash_serial));
@@ -162,10 +162,9 @@ ResultsDoc doc_from_json(const Json& json) {
   ResultsDoc doc;
   Header& h = doc.header;
   h.schema = json.get("schema").as_string();
-  if (h.schema != kSchemaVersion && h.schema != kSchemaVersionLegacy) {
+  if (h.schema != kSchemaVersion) {
     throw std::runtime_error("results: unsupported schema '" + h.schema +
-                             "' (want " + kSchemaVersion + " or " +
-                             kSchemaVersionLegacy + ")");
+                             "' (want " + kSchemaVersion + ")");
   }
   h.experiment = json.get("experiment").as_string();
   h.title = json.get_string("title");

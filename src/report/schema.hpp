@@ -17,10 +17,6 @@
 namespace dfsim::report {
 
 inline constexpr const char* kSchemaVersion = "dfsim-results/v2";
-/// v1 documents (pre-fault-overlay: no fault-overlay metric columns, no
-/// fault.* block in the canonical config text) are still accepted on read —
-/// committed goldens are not forcibly regenerated by a schema bump.
-inline constexpr const char* kSchemaVersionLegacy = "dfsim-results/v1";
 
 /// Past this injection backlog per node the run is saturated and delivered-
 /// packet latency is no longer meaningful (the paper cuts its curves there);

@@ -112,9 +112,11 @@ bool trace_on(const SimParams& p) { return p.trace.enabled; }
 bool notify_on(const SimParams& p) {
   return p.routing.kind == RoutingKind::kArn;
 }
-// An empty trace path is the same run as none.
+// Only trace replay reads the path, and an empty path is the same run as
+// none.
 bool trace_path_set(const SimParams& p) {
-  return !p.traffic.trace_path.empty();
+  return p.traffic.kind == TrafficKind::kTrace &&
+         !p.traffic.trace_path.empty();
 }
 // Sharded results are deterministic per (seed, threads) but not
 // bit-identical across thread counts.

@@ -1,6 +1,7 @@
 // Engine phase profiler: wall-time accounting per cycle phase, driving
-// `dfsim_run perf --phases` and the BENCH_engine.json phase breakdown (which
-// phase actually burns the cycles, and how long shards wait at barriers).
+// `dfsim_run perf --phases` and the benchmark's per-layer phase shares
+// (which phase actually burns the cycles, and how long shards wait at
+// barriers).
 //
 // API-enabled only (Simulator::enable_phase_profiler) — it measures wall
 // time, so it has no config key and never enters the config hash. Each

@@ -147,5 +147,27 @@ int main() {
     assert(report::config_hash(reloaded) == report::config_hash(wide));
   }
 
+  // The canonical text carries the trace path exactly when trace replay
+  // reads it. A path left behind under another pattern stays out, so the
+  // text reloads to itself (reading the path would switch to replay).
+  {
+    SimParams p = presets::tiny();
+    apply_param(p, "traffic.trace_path", "x.dftrace");
+    apply_param(p, "traffic.kind", "BITCOMP");
+    const std::string text = canonical_params_text(p);
+    const std::string path = write_temp(text);
+    const SimParams reloaded = load_params(path, presets::tiny());
+    std::remove(path.c_str());
+    assert(reloaded.traffic.kind == TrafficKind::kBitComplement);
+    assert(canonical_params_text(reloaded) == text);
+    assert(report::config_hash(reloaded) == report::config_hash(p));
+
+    SimParams replay = presets::tiny();
+    apply_param(replay, "traffic.trace_path", "x.dftrace");
+    SimParams other = replay;
+    apply_param(other, "traffic.trace_path", "y.dftrace");
+    assert(report::config_hash(replay) != report::config_hash(other));
+  }
+
   return EXIT_SUCCESS;
 }

@@ -169,26 +169,41 @@ int main() {
     assert(r.latency_p99 != mean_of_p99);
   }
 
-  // A port class with no VC is rejected up front, naming the key (it would
-  // otherwise route onto VC -1 and read outside the queue arrays), and so is
-  // a speedup below 1 (no allocator iteration would run).
-  for (const char* key : {"router.vcs_local", "router.vcs_global",
-                          "router.vcs_injection", "router.speedup"}) {
-    for (const char* bad : {"0", "-1"}) {
-      SimParams p = presets::tiny();
-      apply_param(p, key, bad);
-      std::string what;
-      try {
-        Simulator sim(p);
-      } catch (const std::invalid_argument& e) {
-        what = e.what();
-      }
-      if (what.find(key) == std::string::npos) {
-        std::fprintf(stderr, "%s=%s not rejected by name (got '%s')\n", key,
-                     bad, what.c_str());
-        return EXIT_FAILURE;
-      }
+  // Nonsense physics is rejected up front, naming the key: a port class
+  // with no VC (it would route onto VC -1 and read outside the queue
+  // arrays), a speedup below 1 (no allocator iteration would run), a packet
+  // of no phits, an injection queue with no slot, a negative delay, and a
+  // buffer that cannot hold one packet.
+  const auto rejected = [](const char* key, const std::string& bad) {
+    SimParams p = presets::tiny();
+    apply_param(p, key, bad);
+    std::string what;
+    try {
+      Simulator sim(p);
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
     }
+    if (what.find(key) != std::string::npos) return true;
+    std::fprintf(stderr, "%s=%s not rejected by name (got '%s')\n", key,
+                 bad.c_str(), what.c_str());
+    return false;
+  };
+  for (const char* key :
+       {"router.vcs_local", "router.vcs_global", "router.vcs_injection",
+        "router.speedup", "packet_size_phits", "router.injection_queue_packets",
+        "router.buf_local_phits", "router.buf_global_phits"}) {
+    for (const char* bad : {"0", "-1"}) {
+      if (!rejected(key, bad)) return EXIT_FAILURE;
+    }
+  }
+  for (const char* key : {"router.pipeline_cycles", "link.local_latency",
+                          "link.global_latency"}) {
+    if (!rejected(key, "-1")) return EXIT_FAILURE;
+  }
+  const std::string one_phit_short =
+      std::to_string(presets::tiny().packet_size_phits - 1);
+  for (const char* key : {"router.buf_local_phits", "router.buf_global_phits"}) {
+    if (!rejected(key, one_phit_short)) return EXIT_FAILURE;
   }
 
   // A sweep point that throws stops the pool, and the exception reaches the

@@ -155,7 +155,7 @@ SCHEMA_DOC = "docs/SCHEMA.md"
 HASH_GATED_PREFIXES = {"fault.": "fault_on", "telemetry.": "telemetry_on",
                        "trace.": "trace_on", "notify.": "notify_on"}
 # Keys allowed to be conditionally emitted without being hash-gated groups
-# (trace_path is omitted when empty: an absent path is the same run;
+# (trace_path is omitted unless trace replay reads it;
 # engine.threads is omitted at its default of 1 so every pre-sharding
 # config hash — and the committed goldens keyed on them — stays valid,
 # while sharded runs fork their hash and carry config_hash_serial for

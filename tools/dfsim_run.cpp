@@ -5,20 +5,20 @@
 //   dfsim_run check --in=DIR [--goldens=DIR] [--rel-tol --abs-tol]
 //   dfsim_run render --in=DIR [--out=RESULTS.md] [--goldens=DIR]
 //   dfsim_run gate [--experiments=..] --goldens=DIR [--scale=tiny] ...
+//   dfsim_run observe [--scale=tiny] [--out=DIR] [--name=congestion] ...
 //   dfsim_run perf [--scales=tiny,medium] [--loads=0.05,0.3] [--out=F]
 //
 // `run` executes registered experiments through the parallel sweep engine
 // and emits schema-versioned JSON (+ long-format CSV) per experiment;
 // `check` evaluates the paper-parity trend gates and the tolerance-banded
 // golden comparison over emitted documents; `render` generates RESULTS.md;
-// `gate` is run+check in one process (the ctest parity target); `perf`
-// times raw engine throughput (cycles/sec) per scale x load — and, with
-// --engine-threads=1,2,8, per shard count, turning the file into a scaling
-// record — emitting the BENCH_engine.json trajectory document, optionally
-// soft-checking it against a committed baseline (--baseline, warns on
-// >threshold drops).
+// `gate` is run+check in one process (the ctest parity target); `observe`
+// is one instrumented run (spatial telemetry + packet tracing); `perf`
+// times raw engine throughput (cycles/sec) per scale x load x shard count
+// (--engine-threads=1,2,8), optionally split by phase (--phases), and
+// prints or writes that one measurement. Perf records and regression
+// checks live in benchmark/ (see benchmark/README.md).
 #include <chrono>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -64,8 +64,7 @@ int usage(const std::string& error = "") {
       "          [--trace-max-events=N] [--strip-rev] [run traffic flags]\n"
       "  perf    [--scales=tiny,medium] [--loads=0.05,0.3] [--routing=Base]\n"
       "          [--traffic=uniform] [--cycles=N] [--warmup=N] [--seed=N]\n"
-      "          [--out=BENCH_engine.json] [--baseline=F] [--threshold=0.2]\n"
-      "          [--phases] [--engine-threads=1,2,8]\n";
+      "          [--engine-threads=1,2,8] [--phases] [--out=F]\n";
   return 2;
 }
 
@@ -475,7 +474,7 @@ int cmd_observe(const CliOptions& cli) {
 }
 
 // ---------------------------------------------------------------------------
-// perf: raw engine stepping throughput (the BENCH_engine.json trajectory).
+// perf: raw engine stepping throughput, one sample per point.
 
 /// Wall-clock cycles for one timed point, sized so every point finishes in
 /// well under a second on the scan-free engine while still averaging over
@@ -502,10 +501,7 @@ int cmd_perf(const CliOptions& cli) {
   const Cycle warmup = cli.get_number<Cycle>("warmup", 500);
   const std::uint64_t seed = cli.get_number<std::uint64_t>("seed", 1);
   // --engine-threads=1,2,8 measures the same points at several shard
-  // counts (engine.threads), turning the trajectory file into a scaling
-  // record. Points are tagged with their shard count; baseline matching is
-  // per (scale, load, engine_threads), with untagged history entries read
-  // as serial.
+  // counts (engine.threads); points are tagged with their shard count.
   std::vector<std::int32_t> thread_counts;
   for (const std::string& item :
        split_csv(cli.get("engine-threads", "1"))) {
@@ -515,8 +511,7 @@ int cmd_perf(const CliOptions& cli) {
   // --phases folds the engine's per-phase wall-time accounting (summed over
   // shards, barrier wait included) into each point. The profiler's clock
   // reads add overhead, so phase-profiled cycles/sec are not comparable
-  // with unprofiled baselines — flagged in the document and excluded from
-  // the regression check.
+  // with unprofiled ones; the document flags them.
   const bool phases = cli.has("phases");
 
   Json points = Json::array();
@@ -590,119 +585,13 @@ int cmd_perf(const CliOptions& cli) {
   doc.set("points", points);
   if (phases) doc.set("phase_profiled", true);
 
-  // Read the committed baseline (when given) once: it is both the soft
-  // regression reference and the carrier of the perf-trajectory history.
-  Json base;
-  bool base_ok = false;
-  if (cli.has("baseline")) {
-    std::ifstream in(cli.get("baseline"), std::ios::binary);
-    if (in) {
-      std::stringstream buf;
-      buf << in.rdbuf();
-      try {
-        base = Json::parse(buf.str());
-        (void)base.get("points");
-        base_ok = true;
-      } catch (const std::exception& e) {
-        std::cerr << "perf: baseline '" << cli.get("baseline")
-                  << "' corrupt (" << e.what() << "), skipping comparison\n";
-      }
-    } else {
-      std::cerr << "perf: baseline '" << cli.get("baseline")
-                << "' not readable, skipping comparison\n";
-    }
-  }
-
-  // Per-run trajectory history: the emitted file used to hold only the
-  // latest measurement, so re-emitting destroyed the trajectory the file
-  // exists to record. Each run now appends {git_rev, date, points} to the
-  // history carried over from the baseline file; the regression check reads
-  // the latest history entry of the baseline when one exists.
-  {
-    Json history = Json::array();
-    if (base_ok) {
-      if (const Json* prior = base.find("history")) {
-        if (prior->is_array()) history = *prior;
-      }
-    }
-    Json entry = Json::object();
-    entry.set("git_rev", current_git_rev());
-    std::time_t now = std::time(nullptr);
-    char date[32] = "unknown";
-    if (std::tm tm_buf{}; gmtime_r(&now, &tm_buf) != nullptr) {
-      std::strftime(date, sizeof(date), "%Y-%m-%d", &tm_buf);
-    }
-    entry.set("date", std::string(date));
-    if (phases) entry.set("phase_profiled", true);
-    entry.set("points", points);
-    history.push_back(std::move(entry));
-    doc.set("history", std::move(history));
-  }
-
-  // Soft regression check against the committed trajectory file: timing
-  // noise makes a hard gate flaky, so drops past the threshold only warn —
-  // and an unreadable or corrupt baseline skips the comparison instead of
-  // failing the (otherwise successful) measurement. Phase-profiled runs skip
-  // it too: the profiler's clock reads slow the engine down.
-  if (base_ok && phases) {
-    std::cerr << "perf: --phases run, skipping baseline comparison\n";
-  }
-  if (base_ok && !phases) {
-    const double threshold = cli.get_number("threshold", 0.2);
-    // Prefer the baseline's most recent history entry (the actual latest
-    // measurement); fall back to its top-level points for pre-history files.
-    const Json* base_points = &base.get("points");
-    if (const Json* history = base.find("history")) {
-      if (history->is_array() && history->size() > 0) {
-        const Json& latest = history->items()[history->size() - 1];
-        if (const Json* hp = latest.find("points")) {
-          if (!latest.find("phase_profiled")) base_points = hp;
-        }
-      }
-    }
-    int warnings = 0;
-    {
-      for (const Json& pt : doc.get("points").items()) {
-        for (const Json& bp : base_points->items()) {
-          // engine_threads is omitted for serial points, so pre-sharding
-          // history entries compare as 1 and keep matching serial points.
-          const auto threads_of = [](const Json& point) {
-            const Json* t = point.find("engine_threads");
-            return t ? static_cast<std::int64_t>(t->as_number())
-                     : std::int64_t{1};
-          };
-          if (bp.get_string("scale") != pt.get_string("scale") ||
-              bp.get_number("load") != pt.get_number("load") ||
-              threads_of(bp) != threads_of(pt)) {
-            continue;
-          }
-          const double now = pt.get_number("cycles_per_sec");
-          const double before = bp.get_number("cycles_per_sec");
-          if (before > 0.0 && now < (1.0 - threshold) * before) {
-            ++warnings;
-            std::cerr << "perf WARNING: " << pt.get_string("scale")
-                      << " load=" << pt.get_number("load") << " regressed "
-                      << format_fixed(100.0 * (1.0 - now / before), 1)
-                      << "% (" << static_cast<std::int64_t>(before) << " -> "
-                      << static_cast<std::int64_t>(now) << " cycles/sec)\n";
-          }
-        }
-      }
-      if (warnings == 0) {
-        std::cerr << "perf: no regression beyond "
-                  << format_fixed(100.0 * threshold, 0)
-                  << "% vs " << cli.get("baseline") << "\n";
-      }
-    }
-  }
-
   if (cli.has("out")) {
     write_file(cli.get("out"), doc.dump());
     std::cerr << "wrote " << cli.get("out") << "\n";
   } else {
     std::cout << doc.dump();
   }
-  return 0;  // soft gate: warnings never fail the run
+  return 0;
 }
 
 }  // namespace

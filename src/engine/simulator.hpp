@@ -256,6 +256,11 @@ class Simulator : private routing::EngineProbe {
   /// Phase times summed over the shards (merged on each call, like
   /// metrics()); cycles() is the number of cycles run.
   [[nodiscard]] const telemetry::PhaseProfiler& phase_profiler() const;
+  /// Shard `shard`'s own phase times and last-arrival count.
+  [[nodiscard]] const telemetry::PhaseProfiler& shard_phase_profiler(
+      std::int32_t shard) const {
+    return shards_[static_cast<std::size_t>(shard)].profiler;
+  }
 
   /// Growth/allocation events since construction (pool, delivery log,
   /// trace-recording or outbox growth). Constant across steps == steady state
@@ -270,7 +275,7 @@ class Simulator : private routing::EngineProbe {
   /// router summary mask matches the queue bits, each non-empty link ring
   /// has exactly one timing-wheel bit, in its front arrival's bucket, and
   /// each shard's pool population equals the packets sitting in its queues
-  /// plus its rings.
+  /// plus its rings, and no traffic model holds a cycle drawn ahead.
   /// O(routers * radix * vcs + W * links) and may allocate — tests only.
   [[nodiscard]] bool debug_check_active_state() const;
 
@@ -338,6 +343,9 @@ class Simulator : private routing::EngineProbe {
     // their slot count, so it never grows).
     PacketPool pool;
     std::unique_ptr<TrafficModel> traffic;  // restricted to [n_lo, n_hi)
+    // First cycle past the current run() dispatch: drawing traffic ahead
+    // stops short of it, so between dispatches no cycle is drawn ahead.
+    Cycle dispatch_end = 0;
     Metrics metrics;
     Totals totals;
     telemetry::PhaseProfiler profiler;  // stamped only while profile_on_
@@ -374,6 +382,10 @@ class Simulator : private routing::EngineProbe {
   // --- per-cycle phases
   void deliver_arrivals(Shard& sh);
   void inject_traffic(Shard& sh);
+  /// Idle step of the end-of-cycle barrier: draws a slice of this shard's
+  /// next undrawn traffic cycle. Touches only the shard's own traffic model
+  /// and profiler; returns whether it drew.
+  bool draw_traffic_ahead(Shard& sh);
   void route_and_allocate(Shard& sh);
   /// Mechanism update window plus (when enabled) the ECtN overhead-monitor
   /// scan and the telemetry update count, for this shard's router range.

@@ -1,8 +1,9 @@
 // Sense-reversing spin barrier for the sharded cycle loop. Shard counts are
 // small (<= cores) and the phases between barriers are short, so spinning
-// with a yield beats futex-based std::barrier wakeup latency here — and the
-// plain acquire/release atomics are fully visible to TSan (the suppression
-// file stays empty).
+// beats futex-based std::barrier wakeup latency here — and the plain
+// acquire/release atomics are fully visible to TSan (the suppression file
+// stays empty). A waiter spends its spin on a caller-supplied idle step and
+// yields only when that step has nothing to do.
 #pragma once
 
 #include <atomic>
@@ -13,21 +14,27 @@ namespace dfsim {
 
 class SpinBarrier {
  public:
+  /// Default idle step: no work, so the waiter yields.
+  struct NoIdle {
+    bool operator()() const { return false; }
+  };
+
   explicit SpinBarrier(std::int32_t parties) : parties_(parties) {}
 
   SpinBarrier(const SpinBarrier&) = delete;
   SpinBarrier& operator=(const SpinBarrier&) = delete;
 
-  void arrive_and_wait() { arrive_and_wait([] {}); }
-
   /// Blocks until all `parties` threads have arrived. The last arrival runs
   /// `completion` (once per generation, while every other thread still
-  /// waits), then resets the count and releases the generation. The
-  /// acq_rel chain on count_ makes every write before arriving visible to
-  /// the completion; the release/acquire pair on gen_ makes those writes
+  /// waits), then resets the count and releases the generation; it never
+  /// calls `idle`. Every other arrival calls `idle()` while the generation
+  /// is unchanged: a short, bounded step of work on state only the caller
+  /// touches, returning true when it did some and false to yield instead.
+  /// The acq_rel chain on count_ makes every write before arriving visible
+  /// to the completion; the release/acquire pair on gen_ makes those writes
   /// and the completion's visible to every thread after the barrier.
-  template <typename Completion>
-  void arrive_and_wait(Completion&& completion) {
+  template <typename Completion, typename Idle = NoIdle>
+  void arrive_and_wait(Completion&& completion, Idle&& idle = Idle()) {
     const std::uint64_t gen = gen_.load(std::memory_order_acquire);
     if (count_.fetch_add(1, std::memory_order_acq_rel) == parties_ - 1) {
       count_.store(0, std::memory_order_relaxed);
@@ -36,9 +43,11 @@ class SpinBarrier {
       return;
     }
     while (gen_.load(std::memory_order_acquire) == gen) {
-      std::this_thread::yield();
+      if (!idle()) std::this_thread::yield();
     }
   }
+
+  void arrive_and_wait() { arrive_and_wait([] {}); }
 
  private:
   const std::int32_t parties_;

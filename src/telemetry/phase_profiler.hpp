@@ -19,7 +19,7 @@ namespace dfsim::telemetry {
 enum class Phase : std::uint8_t {
   kFaults = 0,     // fault schedule refresh + ring purge
   kDeliver = 1,    // cross-shard merge + deliver_arrivals
-  kInject = 2,     // inject_traffic
+  kInject = 2,     // inject_traffic + traffic drawn ahead at the barrier
   kEctn = 3,       // mechanism update window (ECtN snapshot, ARN scan)
   kRoute = 4,      // route_and_allocate
   kTelemetry = 5,  // telemetry flush (sink gauge scan + frame commit)
@@ -47,6 +47,7 @@ class PhaseProfiler {
   void reset() {
     for (auto& ns : ns_) ns = 0;
     cycles_ = 0;
+    last_arrivals_ = 0;
   }
 
   /// Opens a cycle: the next lap charges time from here.
@@ -62,14 +63,18 @@ class PhaseProfiler {
             .count();
     last_ = now;
   }
-  /// Adds another shard's phase times. Every shard runs every cycle, so the
-  /// cycle count stays the number of cycles run.
+  /// Counts a cycle whose end-of-cycle barrier this shard reached last.
+  void count_last_arrival() { ++last_arrivals_; }
+  /// Adds another shard's phase times and last arrivals. Every shard runs
+  /// every cycle, so the cycle count stays the number of cycles run.
   void merge(const PhaseProfiler& other) {
     for (std::int32_t i = 0; i < kPhaseCount; ++i) ns_[i] += other.ns_[i];
     cycles_ = std::max(cycles_, other.cycles_);
+    last_arrivals_ += other.last_arrivals_;
   }
 
   [[nodiscard]] std::int64_t cycles() const { return cycles_; }
+  [[nodiscard]] std::int64_t last_arrivals() const { return last_arrivals_; }
   [[nodiscard]] std::int64_t nanoseconds(Phase phase) const {
     return ns_[static_cast<std::size_t>(phase)];
   }
@@ -85,6 +90,7 @@ class PhaseProfiler {
  private:
   std::int64_t ns_[kPhaseCount] = {};
   std::int64_t cycles_ = 0;
+  std::int64_t last_arrivals_ = 0;
   Clock::time_point last_;
 };
 

@@ -1,7 +1,9 @@
 #include "traffic/model.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace dfsim {
@@ -28,19 +30,55 @@ TrafficModel::TrafficModel(const TrafficParams& spec,
   }
   node_hi_ = topo_.nodes;
   build_tables();
+  size_ring();
 }
 
 void TrafficModel::restrict_nodes(NodeId lo, NodeId hi) {
   if (lo < 0 || hi > topo_.nodes || lo >= hi) {
     throw std::invalid_argument("traffic: bad node range restriction");
   }
+  assert(cycles_ahead() == 0);
   node_lo_ = lo;
   node_hi_ = hi;
+  size_ring();
 }
 
 void TrafficModel::reset_spec(const TrafficParams& spec) {
+  assert(cycles_ahead() == 0);
   spec_ = spec;
   build_tables();
+  size_ring();
+}
+
+void TrafficModel::size_ring() {
+  std::int64_t worst = node_hi_ - node_lo_;
+  if (spec_.kind == TrafficKind::kTrace) {
+    // Replay serves every due record, several per source if the trace has
+    // them: the bound is the most in-range records sharing one cycle.
+    std::vector<Cycle> cycles;
+    for (const TraceRecord& rec : replay_) {
+      if (rec.src >= node_lo_ && rec.src < node_hi_) {
+        cycles.push_back(rec.cycle);
+      }
+    }
+    std::sort(cycles.begin(), cycles.end());
+    worst = 0;
+    for (std::size_t i = 0, j = 0; i < cycles.size(); i = j) {
+      while (j < cycles.size() && cycles[j] == cycles[i]) ++j;
+      worst = std::max<std::int64_t>(worst, static_cast<std::int64_t>(j - i));
+    }
+  }
+  // A ring offset plus one worst-case cycle must fit 32 bits.
+  worst = std::max<std::int64_t>(1, worst);
+  if (worst > std::numeric_limits<std::uint32_t>::max() / (kRingCycles + 1)) {
+    throw std::invalid_argument("traffic: too many injections per cycle");
+  }
+  worst_ = static_cast<std::uint32_t>(worst);
+  if (worst_ * kRingCycles != ring_cap_) {
+    ring_cap_ = worst_ * kRingCycles;
+    ring_ = std::make_unique_for_overwrite<Drawn[]>(ring_cap_);
+  }
+  wpos_ = read_ = read_end_ = 0;
 }
 
 void TrafficModel::build_tables() {
@@ -167,11 +205,89 @@ void TrafficModel::build_tables() {
 
 void TrafficModel::begin_cycle(Cycle now) {
   now_ = now;
-  node_cursor_ = node_lo_;
   if (spec_.kind == TrafficKind::kTrace && replay_base_ < 0) {
     replay_base_ = now;
   }
   if (recording_ && record_base_ < 0) record_base_ = now;
+  if (cycles_ahead() == 0) {
+    // Nothing drawn ahead: draw `now` here, from the ring's start.
+    serve_next_ = fill_cycle_ = now;
+    wpos_ = read_end_ = 0;
+    filling_ = true;
+    fill_node_ = node_lo_;
+  }
+  assert(now == serve_next_);
+  if (fill_cycle_ == now) fill(std::numeric_limits<std::int64_t>::max());
+  read_ = cycle_start(read_end_);
+  read_end_ = ends_[static_cast<std::size_t>(now & (kAheadCycles - 1))];
+  ++serve_next_;
+}
+
+bool TrafficModel::draw_ahead(std::int64_t budget, Cycle limit) {
+  if (!filling_) {
+    if (fill_cycle_ >= limit || fill_cycle_ - serve_next_ >= kAheadCycles) {
+      return false;
+    }
+    // The new cycle may take worst_ entries from `start` on without
+    // reaching an unread one. Filling stops short of read_, so
+    // wpos_ < read_ means exactly that the unread entries wrap.
+    const std::uint32_t start = cycle_start(wpos_);
+    const bool fits = wpos_ < read_ ? wpos_ + worst_ < read_
+                                    : start == wpos_ || worst_ < read_;
+    if (!fits) return false;
+    wpos_ = start;
+    filling_ = true;
+    fill_node_ = node_lo_;
+  }
+  fill(budget);
+  return true;
+}
+
+void TrafficModel::fill(std::int64_t budget) {
+  Drawn* out = ring_.get() + wpos_;
+  bool complete = true;
+  if (spec_.kind == TrafficKind::kTrace) {
+    // Records from before replay started (or a re-base) are skipped, and
+    // so, under a restrict_nodes range, are due records another shard's
+    // model serves.
+    const Cycle rel = fill_cycle_ - replay_base_;
+    for (; replay_cursor_ < replay_.size(); ++replay_cursor_) {
+      const TraceRecord& rec = replay_[replay_cursor_];
+      if (rec.cycle > rel) break;
+      if (budget-- == 0) {
+        complete = false;
+        break;
+      }
+      if (rec.cycle == rel && rec.src >= node_lo_ && rec.src < node_hi_) {
+        *out++ = Drawn{rec.src, rec.dst};
+      }
+    }
+  } else {
+    // Per-node scan on a local RNG copy: its state lives in registers
+    // across the (mostly non-injecting) nodes instead of round-tripping
+    // through rng_ every iteration, ~5x faster at scale. State is written
+    // back before draw_dest so the destination draw continues the same
+    // stream.
+    const NodeId end = node_hi_ - fill_node_ <= budget
+                           ? node_hi_
+                           : fill_node_ + static_cast<NodeId>(budget);
+    Rng rng = rng_;
+    for (NodeId n = fill_node_; n < end; ++n) {
+      if (injects(n, rng)) {
+        rng_ = rng;
+        *out++ = Drawn{n, draw_dest(n)};
+        rng = rng_;
+      }
+    }
+    rng_ = rng;
+    fill_node_ = end;
+    complete = end == node_hi_;
+  }
+  wpos_ = static_cast<std::uint32_t>(out - ring_.get());
+  if (!complete) return;
+  ends_[static_cast<std::size_t>(fill_cycle_ & (kAheadCycles - 1))] = wpos_;
+  ++fill_cycle_;
+  filling_ = false;
 }
 
 bool TrafficModel::injects(NodeId src, Rng& rng) {
@@ -233,54 +349,16 @@ NodeId TrafficModel::draw_dest(NodeId src) {
       return uniform_excluding(src);
     }
     case TrafficKind::kTrace:
-      return src;  // replay never draws; next() serves records directly
+      return src;  // replay never draws; fill() copies records directly
   }
   return src;
 }
 
 bool TrafficModel::next(Injection& out) {
-  if (spec_.kind == TrafficKind::kTrace) {
-    const Cycle rel = now_ - replay_base_;
-    while (replay_cursor_ < replay_.size() &&
-           (replay_[replay_cursor_].cycle < rel ||
-            (replay_[replay_cursor_].cycle == rel &&
-             (replay_[replay_cursor_].src < node_lo_ ||
-              replay_[replay_cursor_].src >= node_hi_)))) {
-      // Records from before replay started (or a re-base), plus — under a
-      // restrict_nodes range — due records owned by another shard's model.
-      ++replay_cursor_;
-    }
-    if (replay_cursor_ < replay_.size() &&
-        replay_[replay_cursor_].cycle == rel) {
-      const TraceRecord& rec = replay_[replay_cursor_++];
-      out.src = rec.src;
-      out.dst = rec.dst;
-    } else {
-      return false;
-    }
-  } else {
-    // Per-node scan on local copies: the RNG state and cursor live in
-    // registers across the (mostly non-injecting) nodes instead of
-    // round-tripping through members every iteration — same draws in the
-    // same order, ~5x faster at scale. State is written back before
-    // draw_dest so the destination draw continues the same stream.
-    const std::int32_t nodes = node_hi_;
-    std::int32_t cursor = node_cursor_;
-    Rng rng = rng_;
-    NodeId hit = -1;
-    while (cursor < nodes) {
-      const NodeId n = cursor++;
-      if (injects(n, rng)) {
-        hit = n;
-        break;
-      }
-    }
-    rng_ = rng;
-    node_cursor_ = cursor;
-    if (hit < 0) return false;
-    out.src = hit;
-    out.dst = draw_dest(hit);
-  }
+  if (read_ == read_end_) return false;
+  const Drawn& drawn = ring_[read_++];
+  out.src = drawn.src;
+  out.dst = drawn.dst;
   if (recording_) {
     const bool grew = recorded_.size() == recorded_.capacity();
     // dfsim-check: allow(CHK-ALLOC): growth is counted in record_growth_

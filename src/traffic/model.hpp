@@ -13,10 +13,21 @@
 //    next() until it returns false; each call returns one injection attempt
 //    (at most one per node per cycle). Trace replay and synthetic patterns
 //    share this interface, so the engines carry no pattern enums at all.
+//  - The pull API is served from a per-cycle ring. A cycle's draws (every
+//    source's injection draw, in node order, each hit followed by its
+//    destination draw; for replay, the cycle's due records) run as a whole,
+//    either inline in begin_cycle or earlier through draw_ahead, which a
+//    sharded simulator calls while a shard waits at the end-of-cycle
+//    barrier. The draws depend only on the model's own state, so when they
+//    run changes no value and no order. Between simulator dispatches the
+//    ring is empty.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "traffic/spec.hpp"
@@ -53,10 +64,11 @@ class TrafficModel {
                std::int32_t packet_size_phits, std::uint64_t seed);
 
   /// Swaps the workload mid-run (transient experiments). Rebuilds the
-  /// pattern tables (may allocate); the RNG stream continues.
+  /// pattern tables (may allocate); the RNG stream continues. Requires an
+  /// empty ring (no cycle drawn ahead).
   void reset_spec(const TrafficParams& spec);
 
-  /// Restricts this instance to source nodes in [lo, hi): next() scans only
+  /// Restricts this instance to source nodes in [lo, hi): a cycle draws only
   /// that range and trace replay serves only records whose src falls inside
   /// it. Destination draws still span all nodes. Sharded simulations give
   /// each shard its own model restricted to the shard's node range; the
@@ -64,8 +76,20 @@ class TrafficModel {
   void restrict_nodes(NodeId lo, NodeId hi);
 
   // --- hot path: begin_cycle once per cycle, then next() until false.
+  /// Serves cycle `now`, drawing it first unless draw_ahead already has.
+  /// While cycles are drawn ahead, `now` must be the first of them.
   void begin_cycle(Cycle now);
   bool next(Injection& out);
+  /// Draws up to `budget` sources (replay: trace records) of the first
+  /// cycle not yet drawn, ahead of its begin_cycle. Starts no cycle at or
+  /// past `limit`, none before the first begin_cycle, and none unless one
+  /// more worst-case cycle still fits the ring. Returns whether it drew.
+  bool draw_ahead(std::int64_t budget, Cycle limit);
+  /// Cycles drawn (or being drawn) ahead of begin_cycle; 0 between
+  /// simulator dispatches.
+  [[nodiscard]] Cycle cycles_ahead() const {
+    return fill_cycle_ - serve_next_ + (filling_ ? 1 : 0);
+  }
 
   // --- trace recording: every subsequent injection attempt is appended to
   // an in-memory buffer (cycle made relative to the first recorded cycle).
@@ -91,9 +115,35 @@ class TrafficModel {
   [[nodiscard]] bool draw_injects(NodeId src);
 
  private:
+  /// One drawn injection in the ring. Trivially constructible, so ring
+  /// pages stay untouched until a cycle is drawn into them.
+  struct Drawn {
+    NodeId src;
+    NodeId dst;
+  };
+  /// Drawn-cycle slots: at most this many cycles are drawn ahead.
+  static constexpr Cycle kAheadCycles = 64;
+  /// Ring capacity in worst-case cycles.
+  static constexpr std::uint32_t kRingCycles = 16;
+  /// The next cycle before the first begin_cycle: draw_ahead starts none.
+  static constexpr Cycle kNoCycle = std::numeric_limits<Cycle>::max();
+
   void build_tables();
+  /// Sizes the ring for the node range and pattern: kRingCycles worst-case
+  /// cycles, a worst-case cycle being every source injecting (replay: the
+  /// most in-range records sharing one cycle).
+  void size_ring();
+  /// First entry of the cycle after one that ended at `prev_end`: right
+  /// behind it, or the ring's start when a worst-case cycle would overrun
+  /// the end. Writer and reader apply the same rule.
+  [[nodiscard]] std::uint32_t cycle_start(std::uint32_t prev_end) const {
+    return prev_end + worst_ <= ring_cap_ ? prev_end : 0;
+  }
+  /// Draws up to `budget` sources (replay: records) of the open cycle
+  /// fill_cycle_ into the ring and closes the cycle once it is complete.
+  void fill(std::int64_t budget);
   [[nodiscard]] NodeId uniform_excluding(NodeId src);
-  /// draw_injects against an explicit RNG (next() loops on a local copy).
+  /// draw_injects against an explicit RNG (fill() loops on a local copy).
   [[nodiscard]] bool injects(NodeId src, Rng& rng);
 
   TrafficParams spec_;
@@ -123,9 +173,24 @@ class TrafficModel {
   NodeId node_lo_ = 0;
   NodeId node_hi_ = 0;
 
-  // Per-cycle iteration state.
-  Cycle now_ = 0;
-  NodeId node_cursor_ = 0;
+  // Drawn-cycle ring. Cycles [serve_next_, fill_cycle_) are drawn; each
+  // sits contiguously from cycle_start(end of the previous one) to its
+  // entry in ends_ (slot cycle & (kAheadCycles - 1)). fill_cycle_ is open
+  // while filling_, its sources drawn up to fill_node_. Unread entries run
+  // from read_ to wpos_, past the ring's end and on from 0 when
+  // wpos_ < read_. With nothing drawn ahead, begin_cycle restarts at 0.
+  std::unique_ptr<Drawn[]> ring_;
+  std::uint32_t ring_cap_ = 0;
+  std::uint32_t worst_ = 1;  // entries one cycle may need
+  std::array<std::uint32_t, kAheadCycles> ends_{};
+  Cycle serve_next_ = kNoCycle;
+  Cycle fill_cycle_ = kNoCycle;
+  bool filling_ = false;
+  NodeId fill_node_ = 0;
+  std::uint32_t wpos_ = 0;
+  std::uint32_t read_ = 0;
+  std::uint32_t read_end_ = 0;
+  Cycle now_ = 0;  // the cycle being served
 
   // Trace replay.
   std::vector<TraceRecord> replay_;

@@ -1,7 +1,9 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace dfsim {
 
@@ -36,6 +38,16 @@ const CliOptions::Option* CliOptions::find(const std::string& key) const {
 
 bool CliOptions::has(const std::string& key) const {
   return find(key) != nullptr;
+}
+
+void CliOptions::reject_unknown(
+    std::span<const std::string_view> known) const {
+  for (const Option& opt : options_) {
+    if (std::find(known.begin(), known.end(), opt.key) == known.end()) {
+      throw std::invalid_argument("unknown flag --" + opt.key +
+                                  " (this command does not read it)");
+    }
+  }
 }
 
 std::string CliOptions::get(const std::string& key) const {

@@ -3,7 +3,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/format.hpp"
@@ -15,6 +17,10 @@ class CliOptions {
   CliOptions(int argc, char** argv);
 
   [[nodiscard]] bool has(const std::string& key) const;
+
+  /// Throws std::invalid_argument naming the first `--key` outside `known`,
+  /// so a command rejects a flag it does not read instead of ignoring it.
+  void reject_unknown(std::span<const std::string_view> known) const;
 
   /// Value of `--key=value`; empty string when absent or valueless.
   [[nodiscard]] std::string get(const std::string& key) const;

@@ -1,10 +1,12 @@
-// CliOptions: flag parsing, whole-parse numeric flags, and tolerant env
-// parsing (the bench/common.cpp DFSIM_WARMUP/DFSIM_MEASURE fix).
+// CliOptions: flag parsing, whole-parse numeric flags, unknown-flag
+// rejection, and tolerant env parsing (the bench/common.cpp
+// DFSIM_WARMUP/DFSIM_MEASURE fix).
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -60,6 +62,25 @@ int main() {
     // The full uint64 range, and a leading '+', as config values read them.
     assert(cli.get_number<std::uint64_t>("big", 1) == 18446744073709551615ull);
     assert(cli.get_number("plus", 0) == 7);
+  }
+
+  // reject_unknown names the first flag outside the known list.
+  {
+    const char* argv[] = {"prog", "run", "--scale=tiny", "--csv",
+                          "--warmpu=5", "--seed=3"};
+    CliOptions cli(6, const_cast<char**>(argv));
+    const std::vector<std::string_view> known = {"scale", "csv", "warmup",
+                                                 "seed"};
+    std::string err;
+    try {
+      cli.reject_unknown(known);
+    } catch (const std::invalid_argument& e) {
+      err = e.what();
+    }
+    assert(err.find("unknown flag --warmpu") != std::string::npos);
+    const std::vector<std::string_view> all = {"scale", "csv", "warmpu",
+                                               "seed"};
+    cli.reject_unknown(all);  // every flag known: no throw
   }
 
   // parse_int covers the env paths used by bench/common.cpp.

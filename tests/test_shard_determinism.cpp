@@ -36,6 +36,12 @@
 //     low fault hop cap: hop counts; a uniform torus under Base: the
 //     source, since torus transit decisions happen only at the source
 //     router), so a layout change that drops or garbles one moves a hash.
+//     The pins are taken under thread-start jitter.
+// (7) Drawing traffic ahead in barrier slack moves no bit: a threads = 4
+//     UN -> ADV+1 transient (set_traffic between run() calls) under
+//     thread-start jitter matches the run without jitter byte for byte,
+//     and no shard's traffic model holds a drawn-ahead cycle between
+//     dispatches.
 #include <bit>
 #include <cassert>
 #include <cstdio>
@@ -226,6 +232,33 @@ std::uint64_t hash_capture(const RunCapture& c) {
   return h;
 }
 
+// Tiny UN at 0.3 switched to ADV+1 mid-window on four shards, as the
+// transient experiments switch; the switch falls between dispatches.
+RunCapture run_transient(std::int32_t jitter_us) {
+  Simulator::debug_set_shard_jitter(jitter_us);
+  SimParams p = presets::tiny();
+  p.routing.kind = RoutingKind::kCbBase;
+  p.traffic.kind = TrafficKind::kUniform;
+  p.traffic.load = 0.3;
+  p.seed = 99;
+  p.engine.threads = 4;
+  Simulator sim(p);
+  sim.enable_delivery_log();
+  sim.run(400);
+  sim.begin_measurement();
+  sim.run(150);
+  assert(sim.debug_check_active_state());
+  TrafficParams adv = p.traffic;
+  adv.kind = TrafficKind::kAdversarial;
+  adv.adv_offset = 1;
+  sim.set_traffic(adv);
+  sim.run(350);
+  const RunCapture cap = capture(sim);
+  Simulator::debug_set_shard_jitter(0);
+  assert(sim.debug_check_active_state());
+  return cap;
+}
+
 std::string run_doc(std::int32_t threads) {
   const report::ExperimentSpec* spec = report::find_experiment("fig5a");
   assert(spec != nullptr);
@@ -377,9 +410,11 @@ int main() {
   };
   bool pins_ok = true;
   for (const Pin& pin : pins) {
+    constexpr std::int32_t kJitterUs = 150;
     const RunCapture cap =
-        pin.base == nullptr ? run_once(pin.threads, 0, pin.kind)
-                            : run_once(pin.threads, 0, pin.kind, *pin.base);
+        pin.base == nullptr
+            ? run_once(pin.threads, kJitterUs, pin.kind)
+            : run_once(pin.threads, kJitterUs, pin.kind, *pin.base);
     const std::uint64_t got = hash_capture(cap);
     if (got != pin.hash) {
       std::fprintf(stderr, "%s at threads %d (%s): hash 0x%016llxull, pinned "
@@ -394,6 +429,19 @@ int main() {
     }
   }
   if (!pins_ok) return EXIT_FAILURE;
+
+  // --- (7) traffic drawn ahead under jitter: same bytes ------------------
+  const RunCapture transient = run_transient(0);
+  assert(transient.metrics.delivered > 0);
+  for (const std::int32_t jitter : {300, 1500}) {
+    const RunCapture cap = run_transient(jitter);
+    if (!identical(transient, cap) ||
+        hash_capture(cap) != hash_capture(transient)) {
+      std::fprintf(stderr, "UN -> ADV+1 transient (jitter %d us) diverged\n",
+                   jitter);
+      return EXIT_FAILURE;
+    }
+  }
 
   return EXIT_SUCCESS;
 }

@@ -3,8 +3,12 @@
 // counts), hotspot empirical frequencies match the configured skew, the
 // bursty on/off process hits the offered load in the long run, traces
 // round-trip through the binary format (keeping the DFTRACE1 magic, and
-// rejecting a packet-event trace by name), and a recorded dragonfly run
-// replays to bit-identical delivered counts and latency.
+// rejecting a packet-event trace by name), a recorded dragonfly run
+// replays to bit-identical delivered counts and latency (and, on four
+// shards, injects every record once), and drawing cycles ahead (as a
+// sharded waiter does in barrier slack) emits exactly the stream a model
+// drawing each cycle in begin_cycle emits.
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -18,6 +22,7 @@
 #include "traffic/model.hpp"
 #include "telemetry/packet_trace.hpp"
 #include "traffic/trace.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -52,6 +57,89 @@ void check_bijection(TrafficKind kind, const TrafficTopologyInfo& topo) {
                    topo.groups, topo.nodes_per_group);
       std::exit(EXIT_FAILURE);
     }
+  }
+}
+
+/// The (cycle, src, dst) stream a model emits.
+using Stream = std::vector<TraceRecord>;
+
+/// Runs cycles [from, end) and appends what `model` emits. With `idle`,
+/// each cycle is followed by a random number of draw_ahead calls with
+/// random budgets and a random limit in (cycle, end], as a shard waiting
+/// at the end-of-cycle barrier makes them. Returns the most cycles that
+/// were drawn ahead at once.
+Cycle drain(TrafficModel& model, Cycle from, Cycle end, Rng* idle,
+            Stream& out) {
+  Cycle most_ahead = 0;
+  Injection inj;
+  for (Cycle c = from; c < end; ++c) {
+    model.begin_cycle(c);
+    while (model.next(inj)) out.push_back({c, inj.src, inj.dst});
+    if (idle == nullptr) continue;
+    const std::uint64_t calls = idle->next_below(48);
+    const Cycle limit = c + 1 + static_cast<Cycle>(idle->next_below(
+                                    static_cast<std::uint64_t>(end - c)));
+    for (std::uint64_t k = 0; k < calls; ++k) {
+      (void)model.draw_ahead(
+          1 + static_cast<std::int64_t>(idle->next_below(64)), limit);
+    }
+    most_ahead = std::max(most_ahead, model.cycles_ahead());
+  }
+  // Drawing ahead never reaches the end of a dispatch.
+  assert(model.cycles_ahead() == 0);
+  return most_ahead;
+}
+
+/// Drains a model through `specs` (reset_spec between them, 300 cycles
+/// each) by begin_cycle/next alone and with random drawing ahead, from the
+/// same seed, optionally restricted to [lo, hi). The streams must match.
+void check_draw_ahead(const std::vector<TrafficParams>& specs, NodeId lo,
+                      NodeId hi) {
+  const TrafficTopologyInfo topo = info(9, 8);
+  TrafficModel inline_model(specs.front(), topo, 1, 23);
+  TrafficModel ahead_model(specs.front(), topo, 1, 23);
+  if (hi - lo < topo.nodes) {
+    inline_model.restrict_nodes(lo, hi);
+    ahead_model.restrict_nodes(lo, hi);
+  }
+  // Before any begin_cycle there is no next cycle to draw.
+  assert(!ahead_model.draw_ahead(64, 1000));
+  Rng idle(5);
+  Stream want;
+  Stream got;
+  Cycle now = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (i > 0) {
+      inline_model.reset_spec(specs[i]);
+      ahead_model.reset_spec(specs[i]);
+    }
+    const std::size_t before = want.size();
+    drain(inline_model, now, now + 300, nullptr, want);
+    const Cycle most_ahead = drain(ahead_model, now, now + 300, &idle, got);
+    now += 300;
+    // Each spec emits, and the ring runs more than one cycle ahead.
+    if (want.size() == before || most_ahead < 2) {
+      std::fprintf(stderr,
+                   "draw-ahead check: spec %zu emitted %zu, drew %lld "
+                   "cycles ahead\n",
+                   i, want.size() - before, static_cast<long long>(most_ahead));
+      std::exit(EXIT_FAILURE);
+    }
+  }
+  bool same = want.size() == got.size();
+  for (std::size_t i = 0; same && i < want.size(); ++i) {
+    same = want[i].cycle == got[i].cycle && want[i].src == got[i].src &&
+           want[i].dst == got[i].dst;
+  }
+  for (const TraceRecord& rec : want) {
+    assert(rec.src >= lo && rec.src < hi);
+  }
+  if (!same) {
+    std::fprintf(stderr,
+                 "drawing ahead changed the stream over [%d, %d): %zu vs %zu "
+                 "injections\n",
+                 lo, hi, got.size(), want.size());
+    std::exit(EXIT_FAILURE);
   }
 }
 
@@ -261,6 +349,74 @@ int main() {
       return EXIT_FAILURE;
     }
     assert(a.delivered > 0);
+
+    // Four shards replay the same trace, each model serving its own
+    // sources and drawing ahead while it waits: every record is injected
+    // exactly once, across a dispatch boundary too.
+    SimParams sharded_params = replay_params;
+    sharded_params.engine.threads = 4;
+    Simulator sharded_sim(sharded_params);
+    sharded_sim.run(500);
+    sharded_sim.run(700);
+    assert(sharded_sim.debug_check_active_state());
+    if (sharded_sim.lifetime_totals().generated !=
+        record_sim.lifetime_totals().generated) {
+      std::fprintf(stderr, "sharded replay injected %lld of %lld records\n",
+                   static_cast<long long>(
+                       sharded_sim.lifetime_totals().generated),
+                   static_cast<long long>(
+                       record_sim.lifetime_totals().generated));
+      return EXIT_FAILURE;
+    }
+    std::remove(path.c_str());
+  }
+
+  // Drawing ahead: UN, ADV+1, hotspot, a permutation at load 1 (every
+  // source injects every cycle, the ring's worst case), bursty, and trace
+  // replay (several records per source and cycle, one cycle with three
+  // times as many records as nodes), swapped by reset_spec, over the full
+  // range and a restrict_nodes range.
+  {
+    const std::string path = "dfsim_test_trace_ahead.bin";
+    Rng rng(31);
+    std::vector<TraceRecord> records;
+    for (Cycle c = 0; c < 300; ++c) {
+      const std::uint64_t count = c == 150 ? 216 : rng.next_below(6);
+      for (std::uint64_t k = 0; k < count; ++k) {
+        records.push_back({c, static_cast<NodeId>(rng.next_below(72)),
+                           static_cast<NodeId>(rng.next_below(72))});
+      }
+    }
+    write_trace(path, records);
+
+    TrafficParams un;
+    un.kind = TrafficKind::kUniform;
+    un.load = 0.3;
+    TrafficParams adv = un;
+    adv.kind = TrafficKind::kAdversarial;
+    adv.adv_offset = 1;
+    adv.load = 0.5;
+    TrafficParams hot = un;
+    hot.kind = TrafficKind::kHotspot;
+    hot.hotspot_count = 3;
+    hot.hotspot_fraction = 0.4;
+    TrafficParams perm = un;
+    perm.kind = TrafficKind::kShift;
+    perm.load = 1.0;
+    TrafficParams bursty = un;
+    bursty.injection = InjectionProcess::kBursty;
+    bursty.burst_factor = 3.0;
+    bursty.burst_len = 20.0;
+    TrafficParams trace;
+    trace.kind = TrafficKind::kTrace;
+    trace.trace_path = path;
+    const std::vector<TrafficParams> chain = {un,     adv,   hot, perm,
+                                              bursty, trace, un};
+    check_draw_ahead(chain, 0, 72);
+    check_draw_ahead(chain, 17, 50);
+    // A trace first: the ring is sized for its densest cycle at
+    // construction.
+    check_draw_ahead({trace, perm, trace}, 0, 72);
     std::remove(path.c_str());
   }
 

@@ -24,6 +24,7 @@
 #include <iostream>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 
 #include "report/parity.hpp"
 #include "report/registry.hpp"
@@ -67,6 +68,33 @@ int usage(const std::string& error = "") {
       "          [--engine-threads=1,2,8] [--phases] [--out=F]\n";
   return 2;
 }
+
+// The flags each command reads: reject_unknown turns any other --key into
+// exit 2 naming it, so a mistyped flag never runs with its default.
+using Flags = std::vector<std::string_view>;
+
+Flags flags(std::initializer_list<Flags> groups) {
+  Flags all;
+  for (const Flags& group : groups) {
+    all.insert(all.end(), group.begin(), group.end());
+  }
+  return all;
+}
+
+/// make_context: scale, parameters, windows, seed and traffic.
+const Flags kContextFlags = {
+    "scale", "config", "set", "warmup", "measure", "seed", "traffic", "trace",
+    "injection", "adv-offset", "shift-offset", "hotspot-count",
+    "hotspot-fraction", "mixed-uniform-fraction", "burst-factor",
+    "burst-len"};
+/// make_context's sweep shape: loads x line-up, repetitions, pool threads.
+const Flags kSweepFlags = {"loads", "routings", "with-ugal", "reps",
+                           "threads"};
+/// run_selected: which experiments, and what it prints and writes.
+const Flags kSelectFlags = {"experiments", "out",       "csv",
+                            "quiet",       "strip-rev", "progress"};
+/// evaluate_gates: the golden comparison.
+const Flags kGoldenFlags = {"goldens", "rel-tol", "abs-tol"};
 
 std::vector<std::string> split_csv(const std::string& text) {
   std::vector<std::string> items;
@@ -337,6 +365,7 @@ std::vector<ResultsDoc> run_selected(const CliOptions& cli) {
 }
 
 int cmd_list(const CliOptions& cli) {
+  cli.reject_unknown(Flags{"markdown"});
   if (cli.has("markdown")) {
     std::cout << "| experiment | paper ref | topology | what it reproduces "
                  "|\n|---|---|---|---|\n";
@@ -359,11 +388,13 @@ int cmd_list(const CliOptions& cli) {
 }
 
 int cmd_run(const CliOptions& cli) {
+  cli.reject_unknown(flags({kContextFlags, kSweepFlags, kSelectFlags}));
   run_selected(cli);
   return 0;
 }
 
 int cmd_check(const CliOptions& cli) {
+  cli.reject_unknown(flags({kGoldenFlags, {"in"}}));
   if (!cli.has("in")) return usage("check needs --in=DIR");
   const std::vector<ResultsDoc> docs = load_docs(cli.get("in"));
   const std::vector<GateOutcome> gates =
@@ -374,6 +405,7 @@ int cmd_check(const CliOptions& cli) {
 }
 
 int cmd_render(const CliOptions& cli) {
+  cli.reject_unknown(flags({kGoldenFlags, {"in", "out"}}));
   if (!cli.has("in")) return usage("render needs --in=DIR");
   const std::vector<ResultsDoc> docs = load_docs(cli.get("in"));
   const std::vector<GateOutcome> gates =
@@ -388,6 +420,8 @@ int cmd_render(const CliOptions& cli) {
 }
 
 int cmd_gate(const CliOptions& cli) {
+  cli.reject_unknown(
+      flags({kContextFlags, kSweepFlags, kSelectFlags, kGoldenFlags}));
   if (!cli.has("goldens")) return usage("gate needs --goldens=DIR");
   const std::vector<ResultsDoc> docs = run_selected(cli);
   const std::vector<GateOutcome> gates =
@@ -405,6 +439,10 @@ int cmd_gate(const CliOptions& cli) {
 // a file that exists is a file the readers can parse.
 
 int cmd_observe(const CliOptions& cli) {
+  cli.reject_unknown(flags(
+      {kContextFlags,
+       {"routing", "load", "sample-period", "max-samples", "trace-rate",
+        "trace-max-events", "out", "name", "strip-rev"}}));
   RunContext ctx = make_context(cli);
   SimParams p = ctx.base;
   if (cli.has("routing")) {
@@ -488,6 +526,9 @@ Cycle default_perf_cycles(const std::string& scale) {
 }
 
 int cmd_perf(const CliOptions& cli) {
+  cli.reject_unknown(Flags{"scales", "loads", "routing", "traffic", "cycles",
+                           "warmup", "seed", "engine-threads", "phases",
+                           "out"});
   const std::vector<std::string> scales =
       split_csv(cli.get("scales", "tiny,medium"));
   std::vector<double> loads;
@@ -571,6 +612,33 @@ int cmd_perf(const CliOptions& cli) {
                     << "%)\n";
         }
         pt.set("phase_seconds", std::move(breakdown));
+        if (sim.shard_count() > 1) {
+          // Per shard: the traffic draws (inline and drawn ahead in the
+          // barrier's slack), the barrier wait left over, and how many
+          // cycles the shard reached the end-of-cycle barrier last.
+          Json shards = Json::array();
+          for (std::int32_t i = 0; i < sim.shard_count(); ++i) {
+            const telemetry::PhaseProfiler& sp = sim.shard_phase_profiler(i);
+            const auto us_per_cycle = [&](telemetry::Phase phase) {
+              return sp.cycles() > 0 ? 1e6 * sp.seconds(phase) /
+                                           static_cast<double>(sp.cycles())
+                                     : 0.0;
+            };
+            const double inject = us_per_cycle(telemetry::Phase::kInject);
+            const double barrier = us_per_cycle(telemetry::Phase::kBarrier);
+            std::cerr << "  shard " << i << ": inject "
+                      << format_fixed(inject, 2) << " us/cycle, barrier "
+                      << format_fixed(barrier, 2) << " us/cycle, last "
+                      << sp.last_arrivals() << " of " << sp.cycles()
+                      << " cycles\n";
+            Json shard = Json::object();
+            shard.set("inject_us_per_cycle", inject);
+            shard.set("barrier_us_per_cycle", barrier);
+            shard.set("last_arrivals", sp.last_arrivals());
+            shards.push_back(std::move(shard));
+          }
+          pt.set("shards", std::move(shards));
+        }
       }
       points.push_back(std::move(pt));
       }

@@ -39,6 +39,12 @@ Simulator::Simulator(const SimParams& params,
   if (params_.engine.threads < 1) {
     throw std::invalid_argument("engine.threads must be >= 1");
   }
+  // Every shard owns at least one router.
+  if (params_.engine.threads > topo_.routers()) {
+    throw std::invalid_argument("engine.threads must be <= " +
+                                std::to_string(topo_.routers()) +
+                                " (the router count)");
+  }
   // Nonsense physics is rejected by name instead of running. A class with no
   // VC would make vc_for() return VC -1; a speedup below 1 runs no allocator
   // iteration, so nothing ever departs; a packet needs a phit and an
@@ -64,8 +70,7 @@ Simulator::Simulator(const SimParams& params,
                                   std::to_string(least));
     }
   }
-  // More shards than routers would leave some empty; clamp instead.
-  n_shards_ = std::min(params_.engine.threads, topo_.routers());
+  n_shards_ = params_.engine.threads;
   if (n_shards_ > 1) {
     if (params_.telemetry.enabled) {
       throw std::invalid_argument(

@@ -154,7 +154,8 @@ class Simulator : private routing::EngineProbe {
   [[nodiscard]] Cycle now() const { return now_; }
   [[nodiscard]] const SimParams& params() const { return params_; }
   [[nodiscard]] const Topology& topology() const { return topo_; }
-  /// Shard count actually in use: min(engine.threads, routers).
+  /// Shard count in use: engine.threads (the constructor rejects more
+  /// shards than routers).
   [[nodiscard]] std::int32_t shard_count() const { return n_shards_; }
 
   /// Resets measurement counters; metrics() accumulates from this point.

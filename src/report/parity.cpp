@@ -3,11 +3,13 @@
 #include <cmath>
 #include <limits>
 
-#include "report/runner.hpp"
+#include "report/registry.hpp"
 
 namespace dfsim::report {
 
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 GateOutcome outcome(const ResultsDoc& doc, const std::string& gate,
                     bool pass, const std::string& detail) {
@@ -20,67 +22,77 @@ GateOutcome skip(const ResultsDoc& doc, const std::string& gate,
   return GateOutcome{doc.header.experiment, gate, GateStatus::kSkip, detail};
 }
 
-/// True when the panel carries every named series; a custom --routings
-/// line-up that drops one SKIPs the gates needing it instead of failing.
-bool has_series(const Panel& panel,
-                std::initializer_list<const char*> names) {
-  for (const char* name : names) {
-    if (panel.series_index(name) >= panel.series.size()) return false;
-  }
-  return true;
+/// Panel `i` of `doc` when it has `kind`, else nullptr.
+const Panel* panel_at(const ResultsDoc& doc, std::size_t i, Panel::Kind kind) {
+  return i < doc.panels.size() && doc.panels[i].kind == kind ? &doc.panels[i]
+                                                             : nullptr;
 }
 
-/// Latency cells past saturation are not meaningful.
-bool saturated(const Panel& panel, std::size_t xi, std::size_t si) {
-  return panel.saturated_cell(xi, si);
+/// The panel a gate reads, or nullptr after recording `gate` as SKIP: the
+/// panel is missing or has no x tick, or it lacks one of `series` (a custom
+/// --routings line-up that drops one SKIPs the gates needing it instead of
+/// failing them).
+const Panel* gate_panel(const ResultsDoc& doc, const Panel* panel,
+                        const char* gate,
+                        std::initializer_list<const char*> series,
+                        std::vector<GateOutcome>& out) {
+  std::string missing;
+  if (!panel || panel->x_labels.empty()) {
+    missing = "panel missing or empty";
+  } else {
+    for (const char* name : series) {
+      if (panel->series_index(name) >= panel->series.size()) {
+        missing = std::string(name) + " series missing";
+        break;
+      }
+    }
+  }
+  if (missing.empty()) return panel;
+  out.push_back(skip(doc, gate, missing));
+  return nullptr;
 }
 
 double cell(const Panel& panel, const std::string& metric, std::size_t xi,
             std::size_t si) {
   const auto* rows = panel.metric(metric);
-  if (!rows || xi >= rows->size() || si >= (*rows)[xi].size()) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
+  if (!rows || xi >= rows->size() || si >= (*rows)[xi].size()) return kNaN;
   return (*rows)[xi][si];
 }
 
-/// Mean misrouted share of packets born in cycles [0, horizon) after the
-/// traffic switch — the adaptation-speed statistic: counter triggers react
-/// within cycles, credit triggers only once the minimal queues fill.
-double early_misroute_avg(const Panel& panel, const std::string& series,
-                          double horizon) {
+/// Mean of one series' `metric` over the ticks with x in [from, to): the
+/// birth-cycle windows the transient gates compare. Non-finite cells are
+/// left out, and so are exact zeros with `skip_zeros` (a latency bucket in
+/// which no delivered packet was born); NaN when no cell is left.
+double window_mean(const Panel& panel, const char* metric, const char* series,
+                   double from, double to, bool skip_zeros = false) {
   const std::size_t si = panel.series_index(series);
-  const auto* rows = panel.metric("misrouted_pct");
-  if (si >= panel.series.size() || !rows) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
+  const auto* rows = panel.metric(metric);
+  if (si >= panel.series.size() || !rows) return kNaN;
   double sum = 0.0;
   int count = 0;
   for (std::size_t xi = 0; xi < rows->size(); ++xi) {
-    if (panel.x_values[xi] < 0 || panel.x_values[xi] >= horizon) continue;
-    if (std::isfinite((*rows)[xi][si])) {
-      sum += (*rows)[xi][si];
-      ++count;
+    const double x = panel.x_values[xi];
+    const double v = (*rows)[xi][si];
+    if (x < from || x >= to || !std::isfinite(v) || (skip_zeros && v == 0.0)) {
+      continue;
     }
+    sum += v;
+    ++count;
   }
-  return count > 0 ? sum / count : std::numeric_limits<double>::quiet_NaN();
+  return count > 0 ? sum / count : kNaN;
 }
 
+}  // namespace
+
 // -------------------------------------------------------------------------
-// Trend gates per experiment
+// Trend gates per experiment (each registry row names its own)
 
 void fig5a_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out) {
-  const Panel* panel = doc.panel("UN");
-  if (!panel || panel->x_labels.empty()) {
-    out.push_back(skip(doc, "un-trends", "panel 'UN' missing or empty"));
-    return;
-  }
+  const Panel* panel =
+      gate_panel(doc, doc.panel("UN"), "un-trends", {"MIN", "Base"}, out);
+  if (!panel) return;
   const std::size_t min_i = panel->series_index("MIN");
   const std::size_t base_i = panel->series_index("Base");
-  if (min_i >= panel->series.size() || base_i >= panel->series.size()) {
-    out.push_back(skip(doc, "un-trends", "MIN/Base series missing"));
-    return;
-  }
   // No false triggers: at the lowest load Base must ride MIN's latency.
   const double min_lat = cell(*panel, "latency_avg", 0, min_i);
   const double base_lat = cell(*panel, "latency_avg", 0, base_i);
@@ -91,9 +103,8 @@ void fig5a_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out) {
   // Adaptive mechanisms must not lose meaningful UN throughput vs MIN.
   const std::size_t top = panel->x_labels.size() - 1;
   const double min_thpt = cell(*panel, "throughput", top, min_i);
-  if (!has_series(*panel, {"Base", "ECtN"})) {
-    out.push_back(skip(doc, "adaptive-keeps-un-throughput",
-                       "Base/ECtN not in this line-up"));
+  if (!gate_panel(doc, panel, "adaptive-keeps-un-throughput",
+                  {"Base", "ECtN"}, out)) {
     return;
   }
   bool ok = true;
@@ -110,18 +121,12 @@ void fig5a_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out) {
 }
 
 void fig5b_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out) {
-  const Panel* panel = doc.panel("ADV+1");
-  if (!panel || panel->x_labels.empty()) {
-    out.push_back(skip(doc, "adv-trends", "panel 'ADV+1' missing or empty"));
-    return;
-  }
+  const Panel* panel =
+      gate_panel(doc, doc.panel("ADV+1"), "adv-trends", {"MIN", "VAL"}, out);
+  if (!panel) return;
   const std::size_t top = panel->x_labels.size() - 1;
   const std::size_t min_i = panel->series_index("MIN");
   const std::size_t val_i = panel->series_index("VAL");
-  if (min_i >= panel->series.size() || val_i >= panel->series.size()) {
-    out.push_back(skip(doc, "adv-trends", "MIN/VAL series missing"));
-    return;
-  }
   // MIN collapses on the single inter-group link: far below VAL.
   const double min_thpt = cell(*panel, "throughput", top, min_i);
   const double val_thpt = cell(*panel, "throughput", top, val_i);
@@ -140,7 +145,8 @@ void fig5b_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out) {
   out.push_back(outcome(doc, "val-within-0.5-bound", val_bounded,
                         "max VAL throughput " + format_fixed(val_max, 3)));
   // The adaptive mechanisms recover (near-)Valiant bandwidth.
-  if (has_series(*panel, {"Base", "Hybrid", "ECtN"})) {
+  if (gate_panel(doc, panel, "counters-recover-bandwidth",
+                 {"Base", "Hybrid", "ECtN"}, out)) {
     bool adaptive_ok = true;
     std::string detail;
     for (const char* mech : {"Base", "Hybrid", "ECtN"}) {
@@ -151,14 +157,10 @@ void fig5b_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out) {
     }
     out.push_back(outcome(doc, "counters-recover-bandwidth", adaptive_ok,
                           detail + "vs MIN " + format_fixed(min_thpt, 3)));
-  } else {
-    out.push_back(skip(doc, "counters-recover-bandwidth",
-                       "Base/Hybrid/ECtN not in this line-up"));
   }
   // ECtN's latency win over the credit-triggered mechanisms at mid load.
-  if (!has_series(*panel, {"ECtN", "PB", "OLM"})) {
-    out.push_back(
-        skip(doc, "ectn-latency-win", "ECtN/PB/OLM not in this line-up"));
+  if (!gate_panel(doc, panel, "ectn-latency-win", {"ECtN", "PB", "OLM"},
+                  out)) {
     return;
   }
   // At tiny scale ECtN's edge over PB is fractions of a percent (the clear
@@ -172,11 +174,11 @@ void fig5b_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out) {
   const double ectn_lat = cell(*panel, "latency_avg", mid, ectn_i);
   const double pb_lat = cell(*panel, "latency_avg", mid, pb_i);
   const double olm_lat = cell(*panel, "latency_avg", mid, olm_i);
-  bool win = std::isfinite(ectn_lat) && !saturated(*panel, mid, ectn_i);
-  if (!saturated(*panel, mid, olm_i) && !(ectn_lat <= 1.02 * olm_lat)) {
+  bool win = std::isfinite(ectn_lat) && !panel->saturated_cell(mid, ectn_i);
+  if (!panel->saturated_cell(mid, olm_i) && !(ectn_lat <= 1.02 * olm_lat)) {
     win = false;
   }
-  if (!saturated(*panel, mid, pb_i) && !(ectn_lat <= 1.10 * pb_lat)) {
+  if (!panel->saturated_cell(mid, pb_i) && !(ectn_lat <= 1.10 * pb_lat)) {
     win = false;
   }
   out.push_back(outcome(doc, "ectn-latency-win", win,
@@ -187,26 +189,16 @@ void fig5b_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out) {
 }
 
 void fig7_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out) {
-  if (doc.panels.empty() ||
-      doc.panels[0].kind != Panel::Kind::kTransient) {
-    out.push_back(skip(doc, "adaptation-speed", "transient panel missing"));
-    return;
-  }
-  const Panel& panel = doc.panels[0];
-  for (const char* series : {"Base", "PB", "OLM"}) {
-    if (panel.series_index(series) >= panel.series.size()) {
-      out.push_back(skip(doc, "adaptation-speed",
-                         std::string(series) + " series missing"));
-      return;
-    }
-  }
+  const Panel* panel =
+      gate_panel(doc, panel_at(doc, 0, Panel::Kind::kTransient),
+                 "adaptation-speed", {"Base", "PB", "OLM"}, out);
+  if (!panel) return;
   // Mean misrouted share of the first 50 post-switch birth cycles: the
   // counter trigger reacts within cycles while the credit triggers wait
   // for the minimal-path queues to fill (paper: ~10 vs ~100 cycles).
-  const double horizon = 50.0;
-  const double base_a = early_misroute_avg(panel, "Base", horizon);
-  const double pb_a = early_misroute_avg(panel, "PB", horizon);
-  const double olm_a = early_misroute_avg(panel, "OLM", horizon);
+  const double base_a = window_mean(*panel, "misrouted_pct", "Base", 0, 50);
+  const double pb_a = window_mean(*panel, "misrouted_pct", "PB", 0, 50);
+  const double olm_a = window_mean(*panel, "misrouted_pct", "OLM", 0, 50);
   const std::string detail = "mean misrouted % over cycles [0,50): Base " +
                              format_fixed(base_a, 1) + ", PB " +
                              format_fixed(pb_a, 1) + ", OLM " +
@@ -222,12 +214,9 @@ void fig7_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out) {
 
 void fault_degradation_gates(const ResultsDoc& doc,
                              std::vector<GateOutcome>& out) {
-  if (doc.panels.empty() || doc.panels[0].kind != Panel::Kind::kGrid ||
-      doc.panels[0].x_labels.empty()) {
-    out.push_back(skip(doc, "fault-invariants", "grid panel missing"));
-    return;
-  }
-  const Panel& panel = doc.panels[0];
+  const Panel* panel = gate_panel(doc, panel_at(doc, 0, Panel::Kind::kGrid),
+                                  "fault-invariants", {}, out);
+  if (!panel) return;
 
   // Hard invariants, every cell: no packet ever departed onto a dead link,
   // and generated = delivered + dropped + undeliverable + in-flight exactly.
@@ -235,9 +224,9 @@ void fault_degradation_gates(const ResultsDoc& doc,
   std::string detail;
   for (const char* metric : {"dead_traversals", "conservation_error"}) {
     double worst = 0.0;
-    for (std::size_t xi = 0; xi < panel.x_labels.size(); ++xi) {
-      for (std::size_t si = 0; si < panel.series.size(); ++si) {
-        const double v = cell(panel, metric, xi, si);
+    for (std::size_t xi = 0; xi < panel->x_labels.size(); ++xi) {
+      for (std::size_t si = 0; si < panel->series.size(); ++si) {
+        const double v = cell(*panel, metric, xi, si);
         if (!(v == 0.0)) {
           invariants_ok = false;
           worst = std::max(worst, std::isfinite(v) ? std::fabs(v) : 1.0);
@@ -251,26 +240,25 @@ void fault_degradation_gates(const ResultsDoc& doc,
 
   // No cell may have hit the no-progress watchdog.
   bool no_timeout = true;
-  for (std::size_t xi = 0; xi < panel.x_labels.size(); ++xi) {
-    for (std::size_t si = 0; si < panel.series.size(); ++si) {
-      if (cell(panel, "timed_out", xi, si) != 0.0) no_timeout = false;
+  for (std::size_t xi = 0; xi < panel->x_labels.size(); ++xi) {
+    for (std::size_t si = 0; si < panel->series.size(); ++si) {
+      if (cell(*panel, "timed_out", xi, si) != 0.0) no_timeout = false;
     }
   }
   out.push_back(outcome(doc, "no-watchdog-timeouts", no_timeout,
                         no_timeout ? "all cells completed"
                                    : "some cells hit the watchdog"));
 
-  if (!has_series(panel, {"MIN", "Base"})) {
-    out.push_back(
-        skip(doc, "adaptive-degrades-gracefully", "MIN/Base series missing"));
+  if (!gate_panel(doc, panel, "adaptive-degrades-gracefully", {"MIN", "Base"},
+                  out)) {
     return;
   }
-  const std::size_t top = panel.x_labels.size() - 1;
-  const std::size_t min_i = panel.series_index("MIN");
-  const std::size_t base_i = panel.series_index("Base");
-  const double min_healthy = cell(panel, "throughput", 0, min_i);
-  const double min_faulty = cell(panel, "throughput", top, min_i);
-  const double base_faulty = cell(panel, "throughput", top, base_i);
+  const std::size_t top = panel->x_labels.size() - 1;
+  const std::size_t min_i = panel->series_index("MIN");
+  const std::size_t base_i = panel->series_index("Base");
+  const double min_healthy = cell(*panel, "throughput", 0, min_i);
+  const double min_faulty = cell(*panel, "throughput", top, min_i);
+  const double base_faulty = cell(*panel, "throughput", top, base_i);
   // Graceful degradation: at the top failure fraction the adaptive
   // mechanism out-delivers MIN, and MIN itself has visibly lost capacity
   // vs its healthy baseline. The throughput margin is deliberately small —
@@ -282,60 +270,39 @@ void fault_degradation_gates(const ResultsDoc& doc,
       doc, "adaptive-degrades-gracefully", base_faulty >= 1.02 * min_faulty,
       "Base " + format_fixed(base_faulty, 3) + " vs MIN " +
           format_fixed(min_faulty, 3) + " at fail_fraction " +
-          panel.x_labels[top]));
+          panel->x_labels[top]));
   out.push_back(outcome(doc, "min-loses-capacity",
                         min_faulty <= 0.95 * min_healthy,
                         "MIN " + format_fixed(min_faulty, 3) + " faulty vs " +
                             format_fixed(min_healthy, 3) + " healthy"));
   // The counter trigger visibly routes around the holes (MIN, pinned
   // minimal, reports 0 misrouted by construction). Observed: Base 1.5%.
-  const double base_mis = cell(panel, "misrouted_pct", top, base_i);
+  const double base_mis = cell(*panel, "misrouted_pct", top, base_i);
   out.push_back(outcome(doc, "counters-misroute-around-faults",
                         base_mis >= 0.5,
                         "Base misrouted " + format_fixed(base_mis, 1) +
-                            "% at fail_fraction " + panel.x_labels[top]));
+                            "% at fail_fraction " + panel->x_labels[top]));
 }
 
 void fault_transient_gates(const ResultsDoc& doc,
                            std::vector<GateOutcome>& out) {
-  if (doc.panels.empty() || doc.panels[0].kind != Panel::Kind::kTransient) {
-    out.push_back(skip(doc, "fault-onset-response", "transient panel missing"));
-    return;
-  }
-  const Panel& panel = doc.panels[0];
-  if (panel.series_index("Base") >= panel.series.size()) {
-    out.push_back(skip(doc, "fault-onset-response", "Base series missing"));
-    return;
-  }
-  // Mean of a metric over pre-onset (x < 0) or early post-onset
-  // (0 <= x < 100) birth cycles for one series. An exact 0 in a latency
-  // bucket means "no deliveries born that cycle", not zero latency, so
-  // latency averages skip zeros; misroute shares keep them.
-  const auto window_avg = [&panel](const char* metric, const char* series,
-                                   bool post, bool skip_zeros) {
-    const std::size_t si = panel.series_index(series);
-    const auto* rows = panel.metric(metric);
-    double sum = 0.0;
-    int n = 0;
-    if (rows && si < panel.series.size()) {
-      for (std::size_t xi = 0; xi < rows->size(); ++xi) {
-        const double x = panel.x_values[xi];
-        if (post ? (x < 0 || x >= 100) : (x >= 0)) continue;
-        const double v = (*rows)[xi][si];
-        if (!std::isfinite(v) || (skip_zeros && v == 0.0)) continue;
-        sum += v;
-        ++n;
-      }
-    }
-    return n > 0 ? sum / n : std::numeric_limits<double>::quiet_NaN();
-  };
+  const Panel* panel =
+      gate_panel(doc, panel_at(doc, 0, Panel::Kind::kTransient),
+                 "fault-onset-response", {"Base"}, out);
+  if (!panel) return;
+  // Pre-onset (x < 0) vs early post-onset (0 <= x < 100) birth cycles.
+  // Latency means skip zeros: an exact 0 in a latency bucket means "no
+  // deliveries born that cycle", not zero latency.
+  constexpr double kBefore = -std::numeric_limits<double>::infinity();
 
   // Primary signal: losing a quarter of the global links under steady load
   // forces detours and queueing on the survivors, so the latency of
   // post-onset births must sit well above the pre-onset baseline.
   // Observed at tiny/seed 1: Base ~114 vs ~79 cycles (1.44x).
-  const double lat_pre = window_avg("latency_avg", "Base", false, true);
-  const double lat_post = window_avg("latency_avg", "Base", true, true);
+  const double lat_pre =
+      window_mean(*panel, "latency_avg", "Base", kBefore, 0, true);
+  const double lat_post =
+      window_mean(*panel, "latency_avg", "Base", 0, 100, true);
   out.push_back(outcome(
       doc, "fault-onset-latency-response",
       std::isfinite(lat_pre) && std::isfinite(lat_post) &&
@@ -346,8 +313,9 @@ void fault_transient_gates(const ResultsDoc& doc,
 
   // Secondary: the counter trigger starts misrouting once the fault
   // redistributes contention. Observed: ~2.9% post vs ~0.7% pre.
-  const double mis_pre = window_avg("misrouted_pct", "Base", false, false);
-  const double mis_post = window_avg("misrouted_pct", "Base", true, false);
+  const double mis_pre =
+      window_mean(*panel, "misrouted_pct", "Base", kBefore, 0);
+  const double mis_post = window_mean(*panel, "misrouted_pct", "Base", 0, 100);
   out.push_back(outcome(
       doc, "fault-onset-misroute-response",
       std::isfinite(mis_post) &&
@@ -362,64 +330,55 @@ void notification_gates(const ResultsDoc& doc,
   // Panel 0: UN->ADV+1 transient (adaptation speed); panel 1: steady ADV+1
   // load grid (sustained throughput). Registry defaults produce both; a
   // hand-rolled line-up that drops a reference series SKIPs its gate.
-  if (doc.panels.empty() || doc.panels[0].kind != Panel::Kind::kTransient) {
-    out.push_back(skip(doc, "notify-adaptation", "transient panel missing"));
-  } else {
-    const Panel& panel = doc.panels[0];
-    if (!has_series(panel, {"Base", "ARN"})) {
-      out.push_back(skip(doc, "notify-adaptation", "Base/ARN series missing"));
-    } else {
-      // Notifications must engage within a bounded window of the counter
-      // trigger: the first 50 post-switch birth cycles. Observed at
-      // tiny/seed 1: ARN ~19% vs Base ~13% (notifications raised during
-      // the UN phase give ARN a head start); gate at half the counter
-      // trigger's response plus an absolute floor.
-      const double arn_a = early_misroute_avg(panel, "ARN", 50.0);
-      const double base_a = early_misroute_avg(panel, "Base", 50.0);
-      out.push_back(outcome(
-          doc, "notify-adapts-with-counter",
-          std::isfinite(arn_a) && std::isfinite(base_a) &&
-              arn_a >= 0.5 * base_a && arn_a >= 5.0,
-          "mean misrouted % over cycles [0,50): ARN " +
-              format_fixed(arn_a, 1) + " vs Base " + format_fixed(base_a, 1) +
-              " (gate: ARN >= 0.5x Base and >= 5%)"));
-    }
-    if (!has_series(panel, {"ARN", "ARN+thr"})) {
-      out.push_back(
-          skip(doc, "throttle-suppresses-misroutes", "ARN+thr missing"));
-    } else {
-      // The throttle variant refuses exactly the injections ARN would
-      // misroute, so its misrouted share must collapse relative to ARN's
-      // across the whole post-switch window. Observed: ~1% vs ~40%.
-      const double arn_m = early_misroute_avg(panel, "ARN", 250.0);
-      const double thr_m = early_misroute_avg(panel, "ARN+thr", 250.0);
-      out.push_back(outcome(
-          doc, "throttle-suppresses-misroutes",
-          std::isfinite(arn_m) && std::isfinite(thr_m) &&
-              thr_m <= 0.5 * arn_m,
-          "mean misrouted % over cycles [0,250): ARN+thr " +
-              format_fixed(thr_m, 1) + " vs ARN " + format_fixed(arn_m, 1) +
-              " (gate: ARN+thr <= 0.5x ARN)"));
-    }
+  const Panel* transient = panel_at(doc, 0, Panel::Kind::kTransient);
+  if (gate_panel(doc, transient, "notify-adaptation", {"Base", "ARN"}, out)) {
+    // Notifications must engage within a bounded window of the counter
+    // trigger: the first 50 post-switch birth cycles. Observed at
+    // tiny/seed 1: ARN ~19% vs Base ~13% (notifications raised during
+    // the UN phase give ARN a head start); gate at half the counter
+    // trigger's response plus an absolute floor.
+    const double arn_a = window_mean(*transient, "misrouted_pct", "ARN", 0, 50);
+    const double base_a =
+        window_mean(*transient, "misrouted_pct", "Base", 0, 50);
+    out.push_back(outcome(
+        doc, "notify-adapts-with-counter",
+        std::isfinite(arn_a) && std::isfinite(base_a) &&
+            arn_a >= 0.5 * base_a && arn_a >= 5.0,
+        "mean misrouted % over cycles [0,50): ARN " + format_fixed(arn_a, 1) +
+            " vs Base " + format_fixed(base_a, 1) +
+            " (gate: ARN >= 0.5x Base and >= 5%)"));
+  }
+  if (transient && gate_panel(doc, transient, "throttle-suppresses-misroutes",
+                              {"ARN", "ARN+thr"}, out)) {
+    // The throttle variant refuses exactly the injections ARN would
+    // misroute, so its misrouted share must collapse relative to ARN's
+    // across the whole post-switch window. Observed: ~1% vs ~40%.
+    const double arn_m =
+        window_mean(*transient, "misrouted_pct", "ARN", 0, 250);
+    const double thr_m =
+        window_mean(*transient, "misrouted_pct", "ARN+thr", 0, 250);
+    out.push_back(outcome(
+        doc, "throttle-suppresses-misroutes",
+        std::isfinite(arn_m) && std::isfinite(thr_m) && thr_m <= 0.5 * arn_m,
+        "mean misrouted % over cycles [0,250): ARN+thr " +
+            format_fixed(thr_m, 1) + " vs ARN " + format_fixed(arn_m, 1) +
+            " (gate: ARN+thr <= 0.5x ARN)"));
   }
 
-  if (doc.panels.size() < 2 || doc.panels[1].kind != Panel::Kind::kGrid ||
-      doc.panels[1].x_labels.empty()) {
-    out.push_back(skip(doc, "notify-sustains-adv", "steady panel missing"));
-    return;
-  }
-  const Panel& panel = doc.panels[1];
-  if (!has_series(panel, {"MIN", "VAL", "ARN"})) {
-    out.push_back(skip(doc, "notify-sustains-adv", "MIN/VAL/ARN missing"));
-    return;
-  }
+  const Panel* panel = gate_panel(doc, panel_at(doc, 1, Panel::Kind::kGrid),
+                                  "notify-sustains-adv", {"MIN", "VAL", "ARN"},
+                                  out);
+  if (!panel) return;
   // Sustained ADV+1 throughput at the top load tick: ARN must stay within
   // the Valiant bound's ballpark and clear MIN's collapse decisively.
   // Observed at tiny/seed 1 (load 0.4): ARN 0.370, VAL 0.395, MIN 0.125.
-  const std::size_t top = panel.x_labels.size() - 1;
-  const double arn_t = cell(panel, "throughput", top, panel.series_index("ARN"));
-  const double val_t = cell(panel, "throughput", top, panel.series_index("VAL"));
-  const double min_t = cell(panel, "throughput", top, panel.series_index("MIN"));
+  const std::size_t top = panel->x_labels.size() - 1;
+  const double arn_t =
+      cell(*panel, "throughput", top, panel->series_index("ARN"));
+  const double val_t =
+      cell(*panel, "throughput", top, panel->series_index("VAL"));
+  const double min_t =
+      cell(*panel, "throughput", top, panel->series_index("MIN"));
   out.push_back(outcome(
       doc, "notify-sustains-adv",
       std::isfinite(arn_t) && arn_t >= 0.8 * val_t && arn_t >= 2.0 * min_t,
@@ -430,22 +389,13 @@ void notification_gates(const ResultsDoc& doc,
 
 void congestion_map_gates(const ResultsDoc& doc,
                           std::vector<GateOutcome>& out) {
-  const Panel* panel = doc.panel("mechanism summary");
-  if (!panel || panel->x_labels.empty()) {
-    out.push_back(
-        skip(doc, "min-concentrates-backlog", "summary panel missing"));
-    return;
-  }
+  const Panel* panel = gate_panel(doc, doc.panel("mechanism summary"),
+                                  "min-concentrates-backlog", {}, out);
+  if (!panel) return;
   // This panel is transposed relative to the figure panels: the x axis
   // holds the mechanism line-up and there is a single "network" series.
-  const auto col = [&panel](const char* mech) {
-    for (std::size_t xi = 0; xi < panel->x_labels.size(); ++xi) {
-      if (panel->x_labels[xi] == mech) return xi;
-    }
-    return panel->x_labels.size();
-  };
-  const std::size_t min_x = col("MIN");
-  const std::size_t base_x = col("Base");
+  const std::size_t min_x = panel->x_index("MIN");
+  const std::size_t base_x = panel->x_index("Base");
   if (min_x >= panel->x_labels.size() || base_x >= panel->x_labels.size()) {
     out.push_back(
         skip(doc, "min-concentrates-backlog", "MIN/Base columns missing"));
@@ -476,25 +426,10 @@ void congestion_map_gates(const ResultsDoc& doc,
                             " decisions (gate: MIN exactly 0, Base > 0)"));
 }
 
-}  // namespace
-
 std::vector<GateOutcome> check_trend_gates(const ResultsDoc& doc) {
   std::vector<GateOutcome> out;
-  if (doc.header.experiment == "fig5a") fig5a_gates(doc, out);
-  if (doc.header.experiment == "fig5b") fig5b_gates(doc, out);
-  if (doc.header.experiment == "fig7") fig7_gates(doc, out);
-  if (doc.header.experiment == "fault_degradation") {
-    fault_degradation_gates(doc, out);
-  }
-  if (doc.header.experiment == "fault_transient") {
-    fault_transient_gates(doc, out);
-  }
-  if (doc.header.experiment == "notification_transient") {
-    notification_gates(doc, out);
-  }
-  if (doc.header.experiment == "congestion_map") {
-    congestion_map_gates(doc, out);
-  }
+  const ExperimentSpec* spec = find_experiment(doc.header.experiment);
+  if (spec && spec->gates) spec->gates(doc, out);
   return out;
 }
 
@@ -570,7 +505,7 @@ std::vector<GateOutcome> check_against_golden(const ResultsDoc& doc,
           // Latency past saturation is unstable by design; skip those
           // cells (the renderer prints "sat" for them too).
           if (is_latency &&
-              (saturated(gp, xi, si) || saturated(*dp, xi, si))) {
+              (gp.saturated_cell(xi, si) || dp->saturated_cell(xi, si))) {
             continue;
           }
           if (!std::isfinite(gv) && !std::isfinite(dv)) continue;

@@ -23,8 +23,25 @@ struct GateOutcome {
   std::string detail;
 };
 
-/// Evaluates the registered trend gates for this experiment (none -> empty).
+/// Evaluates the trend gates the experiment's registry row names (none ->
+/// empty).
 [[nodiscard]] std::vector<GateOutcome> check_trend_gates(const ResultsDoc& doc);
+
+/// One experiment's trend gates: appends an outcome per gate to `out`. A
+/// gate whose panel or series is missing (a custom --routings line-up)
+/// SKIPs instead of failing.
+using TrendGates = void (*)(const ResultsDoc& doc,
+                            std::vector<GateOutcome>& out);
+void fig5a_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out);
+void fig5b_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out);
+void fig7_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out);
+void fault_degradation_gates(const ResultsDoc& doc,
+                             std::vector<GateOutcome>& out);
+void fault_transient_gates(const ResultsDoc& doc,
+                           std::vector<GateOutcome>& out);
+void notification_gates(const ResultsDoc& doc, std::vector<GateOutcome>& out);
+void congestion_map_gates(const ResultsDoc& doc,
+                          std::vector<GateOutcome>& out);
 
 /// Cell-by-cell comparison: pass when |a-b| <= abs_tol + rel_tol*max(|a|,|b|)
 /// (transient panels get doubled tolerances — per-birth-window means are

@@ -1,7 +1,6 @@
 #include "report/registry.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -12,22 +11,14 @@ namespace dfsim::report {
 
 namespace {
 
+// Line-ups name mechanisms by enumerator: kMin, kValiant, kCbBase, ...
+using enum RoutingKind;
+
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /// The adaptive line-up the paper compares everywhere.
 std::vector<RoutingKind> adaptive_lineup() {
-  return {RoutingKind::kPiggyback, RoutingKind::kOlm, RoutingKind::kCbBase,
-          RoutingKind::kCbHybrid, RoutingKind::kCbEctn};
-}
-
-std::vector<RoutingKind> with_min_first(std::vector<RoutingKind> lineup) {
-  lineup.insert(lineup.begin(), RoutingKind::kMin);
-  return lineup;
-}
-
-std::vector<RoutingKind> with_val_first(std::vector<RoutingKind> lineup) {
-  lineup.insert(lineup.begin(), RoutingKind::kValiant);
-  return lineup;
+  return {kPiggyback, kOlm, kCbBase, kCbHybrid, kCbEctn};
 }
 
 /// Companion-topology shapes per --scale (the dragonfly presets do not
@@ -53,11 +44,25 @@ SimParams torus_base_for(const std::string& scale) {
 /// (`--set=topology=fbfly;fbfly.k=5...` or a --config file), their fully
 /// configured base is kept instead — rebasing would silently discard those
 /// overrides.
-RunContext rebase(RunContext ctx, SimParams base) {
-  if (ctx.base.topology == base.topology) return ctx;
+void rebase(RunContext& ctx, SimParams base) {
+  if (ctx.base.topology == base.topology) return;
   base.seed = ctx.base.seed;
   ctx.base = std::move(base);
-  return ctx;
+}
+
+/// Appends a categorical tick to a one-series grid panel: one value per
+/// metric, the metrics named (in order) by the first tick.
+void add_tick(Panel& panel, const std::string& label,
+              std::initializer_list<std::pair<const char*, double>> values) {
+  panel.x_labels.push_back(label);
+  panel.x_values.push_back(kNaN);
+  std::size_t mi = 0;
+  for (const auto& [metric, value] : values) {
+    if (mi == panel.metrics.size()) {
+      panel.metrics.emplace_back(metric, std::vector<std::vector<double>>{});
+    }
+    panel.metrics[mi++].second.push_back({value});
+  }
 }
 
 /// The paper's Section VI-B analytic ECtN full-array estimate, per preset —
@@ -70,7 +75,7 @@ Panel ectn_estimate_panel(const std::string& name) {
                    "bandwidth_pct"};
   for (const char* preset : {"paper", "medium", "small", "tiny"}) {
     SimParams p = presets::by_name(preset);
-    p.routing.kind = RoutingKind::kCbEctn;
+    p.routing.kind = kCbEctn;
     const EctnOverheadEstimate est = estimate_ectn_overhead(p);
     panel.cells.push_back({preset, std::to_string(est.counters),
                            std::to_string(est.bits_per_counter),
@@ -86,44 +91,31 @@ Panel ectn_estimate_panel(const std::string& name) {
 // -------------------------------------------------------------------------
 // Steady-state figures
 
-ResultsDoc run_fig5a(RunContext ctx) {
-  ctx.default_traffic(TrafficKind::kUniform);
-  const auto mechanisms = ctx.lineup_or(with_min_first(adaptive_lineup()));
-  const auto loads =
-      ctx.loads_or({0.05, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9});
-  ResultsDoc doc;
-  doc.panels.push_back(run_load_grid("UN", ctx.base, mechanisms, loads,
-                                     ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
+/// adv_offset value that stands for the topology's h (ADV+h).
+constexpr std::int32_t kOffsetH = 0;
+
+/// A mechanisms-by-loads panel under one traffic pattern (Figure 5).
+struct LoadFigure {
+  const char* panel;
+  TrafficKind traffic;
+  std::int32_t adv_offset = 1;  // kOffsetH: the topology's h
+  std::vector<RoutingKind> lineup;
+  std::vector<double> loads;
+};
+
+ExperimentRun load_figure(LoadFigure fig) {
+  return [fig = std::move(fig)](RunContext& ctx, ResultsDoc& doc) {
+    ctx.default_traffic(fig.traffic, fig.adv_offset == kOffsetH
+                                         ? ctx.base.topo.h
+                                         : fig.adv_offset);
+    doc.panels.push_back(run_load_grid(fig.panel, ctx.base,
+                                       ctx.lineup_or(fig.lineup),
+                                       ctx.loads_or(fig.loads), ctx.options,
+                                       ctx.threads));
+  };
 }
 
-ResultsDoc run_fig5b(RunContext ctx) {
-  ctx.default_traffic(TrafficKind::kAdversarial, 1);
-  // MIN rides along (the old bench dropped it): its collapse on the single
-  // inter-group link is one of the paper-parity gates.
-  const auto mechanisms =
-      ctx.lineup_or(with_min_first(with_val_first(adaptive_lineup())));
-  const auto loads = ctx.loads_or({0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45});
-  ResultsDoc doc;
-  doc.panels.push_back(run_load_grid("ADV+1", ctx.base, mechanisms, loads,
-                                     ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
-}
-
-ResultsDoc run_fig5c(RunContext ctx) {
-  ctx.default_traffic(TrafficKind::kAdversarial, ctx.base.topo.h);
-  const auto mechanisms = ctx.lineup_or(with_val_first(adaptive_lineup()));
-  const auto loads = ctx.loads_or({0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45});
-  ResultsDoc doc;
-  doc.panels.push_back(run_load_grid("ADV+h", ctx.base, mechanisms, loads,
-                                     ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
-}
-
-ResultsDoc run_fig6(RunContext ctx) {
+void run_fig6(RunContext& ctx, ResultsDoc& doc) {
   const double load = 0.35;
   const auto mechanisms = ctx.lineup_or(adaptive_lineup());
   std::vector<GridTick> ticks;
@@ -136,90 +128,83 @@ ResultsDoc run_fig6(RunContext ctx) {
                                p.traffic.load = load;
                              }});
   }
-  ResultsDoc doc;
   doc.panels.push_back(run_grid_panel("mixed@0.35", "pct_UN", ctx.base, ticks,
                                       mechanism_series(mechanisms),
                                       ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
 }
 
 // -------------------------------------------------------------------------
 // Transient figures
 
-TransientOptions un_to_adv_switch(const RunContext& ctx, double load,
-                                  Cycle pre, Cycle post, std::int32_t reps) {
+/// Transient options: traffic at `load` switches from UN to `after` at t=0
+/// (ADV means ADV+1; UN keeps the pattern, for a fault onset instead) and is
+/// observed `pre` cycles before the switch and `post` after. --reps
+/// overrides `reps`; the header reports the count used.
+TransientOptions switch_options(const RunContext& ctx, ResultsDoc& doc,
+                                TrafficParams traffic, TrafficKind after,
+                                double load, Cycle pre, Cycle post,
+                                std::int32_t reps) {
   TransientOptions topt;
-  topt.before = ctx.base.traffic;
-  topt.before.kind = TrafficKind::kUniform;
-  topt.before.load = load;
-  topt.after = ctx.base.traffic;
-  topt.after.kind = TrafficKind::kAdversarial;
-  topt.after.adv_offset = 1;
-  topt.after.load = load;
+  traffic.kind = TrafficKind::kUniform;
+  traffic.load = load;
+  topt.before = traffic;
+  traffic.kind = after;
+  if (after == TrafficKind::kAdversarial) traffic.adv_offset = 1;
+  topt.after = traffic;
   topt.warmup = ctx.options.warmup;
   topt.pre = pre;
   topt.post = post;
-  topt.reps = reps;
+  topt.reps = ctx.reps_or(reps);
   topt.heartbeat = ctx.options.heartbeat;
+  doc.header.reps = topt.reps;
   return topt;
 }
 
 std::vector<TransientSeries> mechanism_transient_series(
-    const RunContext& ctx, const std::vector<RoutingKind>& mechanisms) {
+    const SimParams& base, const std::vector<RoutingKind>& mechanisms) {
   std::vector<TransientSeries> series;
   for (const RoutingKind kind : mechanisms) {
-    SimParams p = ctx.base;
+    SimParams p = base;
     p.routing.kind = kind;
     series.push_back(TransientSeries{to_string(kind), p});
   }
   return series;
 }
 
-ResultsDoc run_fig7(RunContext ctx) {
-  const std::int32_t reps = ctx.reps_or(5);
-  const TransientOptions topt = un_to_adv_switch(ctx, 0.2, 50, 250, reps);
-  ResultsDoc doc;
-  doc.panels.push_back(run_transient_panel(
-      "UN->ADV+1@0.2",
-      mechanism_transient_series(ctx, ctx.lineup_or(adaptive_lineup())), topt,
-      /*step=*/10, /*window=*/10));
-  fill_header(doc, ctx, reps);
-  return doc;
-}
+/// A UN->ADV+1 switch at load 0.2 (Figures 7-9). The figures differ only in
+/// VC buffers, observed window, sampling and line-up.
+struct SwitchFigure {
+  const char* panel;
+  std::int32_t buf_local = 0;  // phits per VC; 0 keeps the preset's buffers
+  std::int32_t buf_global = 0;
+  Cycle pre = 50;
+  Cycle post = 0;
+  Cycle step = 0;    // sample spacing
+  Cycle window = 0;  // birth-window smoothing
+  std::int32_t reps = 0;
+  std::vector<RoutingKind> lineup;
+};
 
-ResultsDoc run_fig8(RunContext ctx) {
-  // Large buffers (Figure 8 caption): 256/2048 phits per VC.
-  ctx.base.router.buf_local_phits = 256;
-  ctx.base.router.buf_global_phits = 2048;
-  const std::int32_t reps = ctx.reps_or(3);
-  const TransientOptions topt = un_to_adv_switch(ctx, 0.2, 50, 1600, reps);
-  ResultsDoc doc;
-  doc.panels.push_back(run_transient_panel(
-      "UN->ADV+1@0.2 large-buffers",
-      mechanism_transient_series(ctx, ctx.lineup_or(adaptive_lineup())), topt,
-      /*step=*/50, /*window=*/25));
-  fill_header(doc, ctx, reps);
-  return doc;
-}
-
-ResultsDoc run_fig9(RunContext ctx) {
-  const std::int32_t reps = ctx.reps_or(5);
-  const TransientOptions topt = un_to_adv_switch(ctx, 0.2, 0, 1600, reps);
-  ResultsDoc doc;
-  doc.panels.push_back(run_transient_panel(
-      "UN->ADV+1@0.2 long",
-      mechanism_transient_series(
-          ctx, ctx.lineup_or({RoutingKind::kPiggyback, RoutingKind::kCbEctn})),
-      topt, /*step=*/25, /*window=*/25));
-  fill_header(doc, ctx, reps);
-  return doc;
+ExperimentRun switch_figure(SwitchFigure fig) {
+  return [fig = std::move(fig)](RunContext& ctx, ResultsDoc& doc) {
+    if (fig.buf_local > 0) {
+      ctx.base.router.buf_local_phits = fig.buf_local;
+      ctx.base.router.buf_global_phits = fig.buf_global;
+    }
+    const TransientOptions topt =
+        switch_options(ctx, doc, ctx.base.traffic, TrafficKind::kAdversarial,
+                       0.2, fig.pre, fig.post, fig.reps);
+    doc.panels.push_back(run_transient_panel(
+        fig.panel,
+        mechanism_transient_series(ctx.base, ctx.lineup_or(fig.lineup)),
+        topt, fig.step, fig.window));
+  };
 }
 
 // -------------------------------------------------------------------------
 // Figure 10 + Section VI ablations
 
-ResultsDoc run_fig10(RunContext ctx) {
+void run_fig10(RunContext& ctx, ResultsDoc& doc) {
   const std::int32_t nominal = ctx.base.routing.contention_threshold;
   std::vector<std::int32_t> un_ths;
   std::vector<std::int32_t> adv_ths;
@@ -235,7 +220,7 @@ ResultsDoc run_fig10(RunContext ctx) {
     for (const std::int32_t th : ths) {
       series.push_back(GridSeries{"th=" + std::to_string(th),
                                   [th, traffic](SimParams& p) {
-                                    p.routing.kind = RoutingKind::kCbBase;
+                                    p.routing.kind = kCbBase;
                                     p.routing.contention_threshold = th;
                                     p.traffic.kind = traffic;
                                     p.traffic.adv_offset = 1;
@@ -251,18 +236,14 @@ ResultsDoc run_fig10(RunContext ctx) {
                           ctx.options, ctx.threads);
   };
 
-  ResultsDoc doc;
   doc.panels.push_back(panel("UN", TrafficKind::kUniform, un_ths,
-                             ctx.loads_or({0.1, 0.3, 0.5, 0.7, 0.8}),
-                             RoutingKind::kMin));
+                             ctx.loads_or({0.1, 0.3, 0.5, 0.7, 0.8}), kMin));
   doc.panels.push_back(panel("ADV+1", TrafficKind::kAdversarial, adv_ths,
                              ctx.loads_or({0.1, 0.2, 0.3, 0.4, 0.45}),
-                             RoutingKind::kValiant));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
+                             kValiant));
 }
 
-ResultsDoc run_ablation_radix_range(RunContext ctx) {
+void run_ablation_radix_range(RunContext& ctx, ResultsDoc& doc) {
   const double un_load = 0.80;
   const double adv_load = 0.30;
   const double un_tolerance = 0.97;
@@ -277,7 +258,6 @@ ResultsDoc run_ablation_radix_range(RunContext ctx) {
   }
   const std::vector<std::int32_t> thresholds{2, 3, 4, 5, 6, 7, 8, 9, 10};
 
-  ResultsDoc doc;
   for (const auto& [preset, label] : radixes) {
     SimParams base = presets::by_name(preset);
     base.seed = ctx.base.seed;
@@ -291,12 +271,12 @@ ResultsDoc run_ablation_radix_range(RunContext ctx) {
     }
     const std::vector<GridSeries> series{
         {"UN", [un_load](SimParams& p) {
-           p.routing.kind = RoutingKind::kCbBase;
+           p.routing.kind = kCbBase;
            p.traffic.kind = TrafficKind::kUniform;
            p.traffic.load = un_load;
          }},
         {"ADV+1", [adv_load](SimParams& p) {
-           p.routing.kind = RoutingKind::kCbBase;
+           p.routing.kind = kCbBase;
            p.traffic.kind = TrafficKind::kAdversarial;
            p.traffic.adv_offset = 1;
            p.traffic.load = adv_load;
@@ -307,7 +287,7 @@ ResultsDoc run_ablation_radix_range(RunContext ctx) {
 
     // MIN reference under UN at the probe load: the Section VI-A floor.
     SimParams ref = base;
-    ref.routing.kind = RoutingKind::kMin;
+    ref.routing.kind = kMin;
     ref.traffic.kind = TrafficKind::kUniform;
     ref.traffic.load = un_load;
     const double min_throughput =
@@ -344,16 +324,13 @@ ResultsDoc run_ablation_radix_range(RunContext ctx) {
                 : "valid threshold range: none at these tolerances");
     doc.panels.push_back(std::move(panel));
   }
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
 }
 
-ResultsDoc run_ablation_ectn_overhead(RunContext ctx) {
+void run_ablation_ectn_overhead(RunContext& ctx, ResultsDoc& doc) {
   constexpr std::int32_t kPhitBits = 80;  // 10-byte phits (Section IV-B)
   const std::int32_t async_mult = 4;
   const std::int32_t urgent_delta = 4;
 
-  ResultsDoc doc;
   doc.panels.push_back(ectn_estimate_panel("analytic full-array estimate"));
 
   // Measured wire cost per encoding on live traffic.
@@ -373,10 +350,9 @@ ResultsDoc run_ablation_ectn_overhead(RunContext ctx) {
   measured.kind = Panel::Kind::kGrid;
   measured.x_label = "scenario";
   measured.series = {"ECtN"};
-  std::vector<std::vector<std::vector<double>>> columns(7);
   for (const Scenario& sc : scenarios) {
     SimParams p = ctx.base;
-    p.routing.kind = RoutingKind::kCbEctn;
+    p.routing.kind = kCbEctn;
     p.traffic.kind = sc.kind;
     p.traffic.adv_offset = 1;
     p.traffic.load = sc.load;
@@ -385,24 +361,18 @@ ResultsDoc run_ablation_ectn_overhead(RunContext ctx) {
     sim.enable_ectn_monitor(async_mult, urgent_delta);
     sim.run(ctx.options.measure);
     const EctnOverheadReport rep = sim.ectn_monitor().report();
-
-    measured.x_labels.push_back(sc.name);
-    measured.x_values.push_back(kNaN);
-    columns[0].push_back({rep.avg_bits_full});
-    columns[1].push_back({rep.avg_bits_nonempty});
-    columns[2].push_back({rep.avg_bits_incremental});
-    columns[3].push_back({rep.avg_bits_async});
-    columns[4].push_back({rep.phits_full(kPhitBits)});
-    columns[5].push_back(
-        {100.0 * rep.overhead_fraction(kPhitBits, p.routing.ectn_update_period,
-                                       rep.avg_bits_full)});
-    columns[6].push_back({static_cast<double>(rep.async_urgent_messages)});
-  }
-  const char* metric_names[7] = {
-      "bits_full",  "bits_nonempty", "bits_incremental", "bits_async",
-      "phits_full", "overhead_pct",  "urgent_messages"};
-  for (int i = 0; i < 7; ++i) {
-    measured.metrics.emplace_back(metric_names[i], std::move(columns[i]));
+    add_tick(measured, sc.name,
+             {{"bits_full", rep.avg_bits_full},
+              {"bits_nonempty", rep.avg_bits_nonempty},
+              {"bits_incremental", rep.avg_bits_incremental},
+              {"bits_async", rep.avg_bits_async},
+              {"phits_full", rep.phits_full(kPhitBits)},
+              {"overhead_pct",
+               100.0 * rep.overhead_fraction(kPhitBits,
+                                             p.routing.ectn_update_period,
+                                             rep.avg_bits_full)},
+              {"urgent_messages",
+               static_cast<double>(rep.async_urgent_messages)}});
   }
   measured.notes.push_back(
       "nonempty beats full while few counters are hot (uniform); incr wins "
@@ -411,11 +381,9 @@ ResultsDoc run_ablation_ectn_overhead(RunContext ctx) {
       "x the period and falls back to urgent (id,value) messages on abrupt "
       "changes.");
   doc.panels.push_back(std::move(measured));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
 }
 
-ResultsDoc run_ablation_minpath(RunContext ctx) {
+void run_ablation_minpath(RunContext& ctx, ResultsDoc& doc) {
   const std::vector<double> loads = ctx.loads_or({0.20, 0.30, 0.40});
   struct Variant {
     const char* name;
@@ -431,7 +399,7 @@ ResultsDoc run_ablation_minpath(RunContext ctx) {
   std::vector<GridSeries> series;
   for (const Variant& v : variants) {
     series.push_back(GridSeries{v.name, [v](SimParams& p) {
-                                  p.routing.kind = RoutingKind::kCbBase;
+                                  p.routing.kind = kCbBase;
                                   p.routing.statistical_trigger = v.statistical;
                                   if (v.statistical) {
                                     p.routing.statistical_window = v.window;
@@ -441,15 +409,12 @@ ResultsDoc run_ablation_minpath(RunContext ctx) {
                                   p.traffic.inorder_fraction = v.inorder;
                                 }});
   }
-  ResultsDoc doc;
   doc.panels.push_back(run_grid_panel("ADV+1 (Base)", "load", ctx.base,
                                       load_ticks(loads), series, ctx.options,
                                       ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
 }
 
-ResultsDoc run_ablation_misrouting(RunContext ctx) {
+void run_ablation_misrouting(RunContext& ctx, ResultsDoc& doc) {
   struct Variant {
     const char* name;
     GlobalMisroutePolicy policy;
@@ -467,7 +432,7 @@ ResultsDoc run_ablation_misrouting(RunContext ctx) {
     std::vector<GridSeries> series;
     for (const Variant& v : variants) {
       series.push_back(GridSeries{v.name, [v, offset](SimParams& p) {
-                                    p.routing.kind = RoutingKind::kCbBase;
+                                    p.routing.kind = kCbBase;
                                     p.routing.global_policy = v.policy;
                                     p.routing.allow_local_misroute =
                                         v.local_misroute;
@@ -479,19 +444,15 @@ ResultsDoc run_ablation_misrouting(RunContext ctx) {
                           ctx.options, ctx.threads);
   };
 
-  ResultsDoc doc;
   doc.panels.push_back(panel("ADV+1 (source-group funnel)", 1));
   doc.panels.push_back(
       panel("ADV+h (intermediate-group local funnel)", ctx.base.topo.h));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
 }
 
-ResultsDoc run_ablation_workloads(RunContext ctx) {
+void run_ablation_workloads(RunContext& ctx, ResultsDoc& doc) {
   const double load = 0.30;
-  const auto mechanisms = ctx.lineup_or(
-      {RoutingKind::kMin, RoutingKind::kUgalL, RoutingKind::kPiggyback,
-       RoutingKind::kCbBase, RoutingKind::kCbEctn});
+  const auto mechanisms =
+      ctx.lineup_or({kMin, kUgalL, kPiggyback, kCbBase, kCbEctn});
 
   std::vector<GridTick> ticks;
   if (ctx.traffic_forced) {
@@ -534,22 +495,17 @@ ResultsDoc run_ablation_workloads(RunContext ctx) {
     add("ADV+1+bursty", TrafficKind::kAdversarial, InjectionProcess::kBursty);
   }
 
-  ResultsDoc doc;
   doc.panels.push_back(run_grid_panel("patterns@0.30", "pattern", ctx.base,
                                       ticks, mechanism_series(mechanisms),
                                       ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
 }
 
 // -------------------------------------------------------------------------
 // Companion topologies (Section VI-D + torus)
 
-ResultsDoc run_ablation_fbfly(RunContext outer) {
-  RunContext ctx = rebase(outer, fbfly_base_for(outer.scale));
-  const auto mechanisms =
-      ctx.lineup_or({RoutingKind::kMin, RoutingKind::kValiant,
-                     RoutingKind::kUgalL, RoutingKind::kCbBase});
+void run_ablation_fbfly(RunContext& ctx, ResultsDoc& doc) {
+  rebase(ctx, fbfly_base_for(ctx.scale));
+  const auto mechanisms = ctx.lineup_or({kMin, kValiant, kUgalL, kCbBase});
 
   SimParams un = ctx.base;
   un.traffic.kind = TrafficKind::kUniform;
@@ -559,32 +515,26 @@ ResultsDoc run_ablation_fbfly(RunContext outer) {
   adj.traffic.kind = TrafficKind::kAdversarial;
   adj.traffic.adv_offset = 1;
 
-  ResultsDoc doc;
   doc.panels.push_back(run_load_grid(
       "UN", un, mechanisms, ctx.loads_or({0.1, 0.3, 0.5, 0.7, 0.9}),
       ctx.options, ctx.threads));
   doc.panels.push_back(run_load_grid(
       "ADJ", adj, mechanisms, ctx.loads_or({0.1, 0.2, 0.3, 0.4, 0.5, 0.6}),
       ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
 }
 
-ResultsDoc run_ablation_fbfly_transient(RunContext outer) {
-  RunContext ctx = rebase(outer, fbfly_base_for(outer.scale));
-  const double load = 0.3;
-  const std::int32_t reps = ctx.reps_or(3);
-
+void run_ablation_fbfly_transient(RunContext& ctx, ResultsDoc& doc) {
+  rebase(ctx, fbfly_base_for(ctx.scale));
   struct Variant {
     const char* name;
     RoutingKind routing;
     std::int32_t buf;
   };
   const std::vector<Variant> variants{
-      {"UGAL_b8", RoutingKind::kUgalL, 8},
-      {"UGAL_b32", RoutingKind::kUgalL, 32},
-      {"CB_b8", RoutingKind::kCbBase, 8},
-      {"CB_b32", RoutingKind::kCbBase, 32},
+      {"UGAL_b8", kUgalL, 8},
+      {"UGAL_b32", kUgalL, 32},
+      {"CB_b8", kCbBase, 8},
+      {"CB_b32", kCbBase, 32},
   };
   std::vector<TransientSeries> series;
   for (const Variant& v : variants) {
@@ -594,31 +544,17 @@ ResultsDoc run_ablation_fbfly_transient(RunContext outer) {
     p.seed = ctx.base.seed;
     series.push_back(TransientSeries{v.name, p});
   }
-
-  TransientOptions topt;
-  topt.before.kind = TrafficKind::kUniform;
-  topt.before.load = load;
-  topt.after.kind = TrafficKind::kAdversarial;  // the FB row adversary
-  topt.after.adv_offset = 1;
-  topt.after.load = load;
-  topt.warmup = ctx.options.warmup;
-  topt.pre = 25;
-  topt.post = 350;
-  topt.reps = reps;
-  topt.heartbeat = ctx.options.heartbeat;
-
-  ResultsDoc doc;
+  // UN -> ADJ, the FB row adversary, over default traffic parameters.
+  const TransientOptions topt = switch_options(
+      ctx, doc, TrafficParams{}, TrafficKind::kAdversarial, 0.3, 25, 350, 3);
   doc.panels.push_back(run_transient_panel("UN->ADJ@0.3", series, topt,
                                            /*step=*/25, /*window=*/25));
-  fill_header(doc, ctx, reps);
-  return doc;
 }
 
-ResultsDoc run_ablation_torus(RunContext outer) {
-  RunContext ctx = rebase(outer, torus_base_for(outer.scale));
+void run_ablation_torus(RunContext& ctx, ResultsDoc& doc) {
+  rebase(ctx, torus_base_for(ctx.scale));
   const auto mechanisms = ctx.lineup_or(
-      {RoutingKind::kMin, RoutingKind::kValiant, RoutingKind::kUgalL,
-       RoutingKind::kPiggyback, RoutingKind::kCbBase, RoutingKind::kCbHybrid});
+      {kMin, kValiant, kUgalL, kPiggyback, kCbBase, kCbHybrid});
 
   const std::int32_t k = ctx.base.torus.k;
   const std::int32_t c = ctx.base.torus.c;
@@ -632,7 +568,6 @@ ResultsDoc run_ablation_torus(RunContext outer) {
   const double ring_cap =
       1.0 / (static_cast<double>(c) * static_cast<double>(k / 2));
 
-  ResultsDoc doc;
   doc.panels.push_back(run_load_grid(
       "UN", un, mechanisms, ctx.loads_or({0.1, 0.2, 0.3, 0.4, 0.5}),
       ctx.options, ctx.threads));
@@ -649,19 +584,16 @@ ResultsDoc run_ablation_torus(RunContext outer) {
                       " phits/node/cycle — MIN flatlines there, the "
                       "nonminimal mechanisms climb past it");
   doc.panels.push_back(std::move(tor));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
 }
 
 // -------------------------------------------------------------------------
 // Fault overlay (beyond the paper)
 
-ResultsDoc run_fault_degradation(RunContext ctx) {
+void run_fault_degradation(RunContext& ctx, ResultsDoc& doc) {
   ctx.default_traffic(TrafficKind::kUniform);
   ctx.base.traffic.load = 0.30;
-  const auto mechanisms = ctx.lineup_or(
-      {RoutingKind::kMin, RoutingKind::kValiant, RoutingKind::kPiggyback,
-       RoutingKind::kCbBase, RoutingKind::kCbEctn});
+  const auto mechanisms =
+      ctx.lineup_or({kMin, kValiant, kPiggyback, kCbBase, kCbEctn});
 
   // x = fraction of failed *global* links, dead from cycle 0. f = 0 keeps
   // the overlay entirely detached (the zero-overhead-when-off baseline).
@@ -675,127 +607,82 @@ ResultsDoc run_fault_degradation(RunContext ctx) {
                              }});
   }
 
-  ResultsDoc doc;
   doc.panels.push_back(run_grid_panel(
       "UN@0.30 dead global links", "fail_fraction", ctx.base, ticks,
       mechanism_series(mechanisms), ctx.options, ctx.threads));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
 }
 
-ResultsDoc run_fault_transient(RunContext ctx) {
-  const std::int32_t reps = ctx.reps_or(5);
-  const double load = 0.30;
-  const Cycle pre = 50;
-  const Cycle post = 250;
-
+void run_fault_transient(RunContext& ctx, ResultsDoc& doc) {
   // Figure-7 machinery with the traffic switch replaced by a fault onset:
   // traffic stays uniform throughout and a quarter of the global links die
   // at t=0 (onset = warmup + pre, the transient panel's switch cycle).
-  TransientOptions topt;
-  topt.before = ctx.base.traffic;
-  topt.before.kind = TrafficKind::kUniform;
-  topt.before.load = load;
-  topt.after = topt.before;
-  topt.warmup = ctx.options.warmup;
-  topt.pre = pre;
-  topt.post = post;
-  topt.reps = reps;
-  topt.heartbeat = ctx.options.heartbeat;
-
-  std::vector<TransientSeries> series;
-  for (const RoutingKind kind :
-       ctx.lineup_or({RoutingKind::kCbBase, RoutingKind::kOlm,
-                      RoutingKind::kPiggyback})) {
-    SimParams p = presets::with_link_faults(ctx.base, 0.25, "global",
-                                            topt.warmup + pre);
-    p.routing.kind = kind;
-    series.push_back(TransientSeries{to_string(kind), p});
-  }
-
-  ResultsDoc doc;
-  doc.panels.push_back(run_transient_panel("UN@0.3 global faults at t=0",
-                                           series, topt,
-                                           /*step=*/10, /*window=*/10));
-  fill_header(doc, ctx, reps);
-  return doc;
+  const TransientOptions topt = switch_options(
+      ctx, doc, ctx.base.traffic, TrafficKind::kUniform, 0.30, 50, 250, 5);
+  const SimParams faulty = presets::with_link_faults(
+      ctx.base, 0.25, "global", topt.warmup + topt.pre);
+  doc.panels.push_back(run_transient_panel(
+      "UN@0.3 global faults at t=0",
+      mechanism_transient_series(faulty,
+                                 ctx.lineup_or({kCbBase, kOlm, kPiggyback})),
+      topt, /*step=*/10, /*window=*/10));
 }
 
 // -------------------------------------------------------------------------
 // Notification family (ARN): adaptation speed and sustained throughput.
 
-ResultsDoc run_notification_transient(RunContext ctx) {
+void run_notification_transient(RunContext& ctx, ResultsDoc& doc) {
   ctx.default_traffic(TrafficKind::kAdversarial, 1);
-  const std::int32_t reps = ctx.reps_or(5);
-  const TransientOptions topt = un_to_adv_switch(ctx, 0.2, 50, 250, reps);
+  const TransientOptions topt = switch_options(
+      ctx, doc, ctx.base.traffic, TrafficKind::kAdversarial, 0.2, 50, 250, 5);
 
   // Transient panel: the counter trigger (Base) and the credit trigger
   // (PB) frame the notification family's adaptation speed; the throttle
   // variant rides along to show refusal does not stall recovery.
-  std::vector<TransientSeries> series;
-  for (const RoutingKind kind :
-       ctx.lineup_or({RoutingKind::kCbBase, RoutingKind::kPiggyback})) {
-    SimParams p = ctx.base;
-    p.routing.kind = kind;
-    series.push_back(TransientSeries{to_string(kind), p});
-  }
-  {
-    SimParams p = ctx.base;
-    p.routing.kind = RoutingKind::kArn;
-    series.push_back(TransientSeries{"ARN", p});
-    p.notify.throttle_injection = true;
-    series.push_back(TransientSeries{"ARN+thr", p});
-  }
-
-  ResultsDoc doc;
+  std::vector<TransientSeries> series = mechanism_transient_series(
+      ctx.base, ctx.lineup_or({kCbBase, kPiggyback}));
+  SimParams arn = ctx.base;
+  arn.routing.kind = kArn;
+  series.push_back(TransientSeries{"ARN", arn});
+  arn.notify.throttle_injection = true;
+  series.push_back(TransientSeries{"ARN+thr", arn});
   doc.panels.push_back(run_transient_panel("UN->ADV+1@0.2", series, topt,
                                            /*step=*/10, /*window=*/10));
 
   // Steady ADV+1 panel for the throughput gates: VAL is the 0.5-bound
   // reference the notification family must not fall under at saturating
   // load; MIN marks the un-adaptive floor it must clear.
-  std::vector<GridSeries> steady;
-  for (const RoutingKind kind :
-       {RoutingKind::kMin, RoutingKind::kValiant, RoutingKind::kCbBase}) {
-    steady.push_back(GridSeries{
-        to_string(kind), [kind](SimParams& p) { p.routing.kind = kind; }});
-  }
-  steady.push_back(GridSeries{"ARN", [](SimParams& p) {
-                                p.routing.kind = RoutingKind::kArn;
-                              }});
+  std::vector<GridSeries> steady =
+      mechanism_series({kMin, kValiant, kCbBase, kArn});
   steady.push_back(GridSeries{"ARN+thr", [](SimParams& p) {
-                                p.routing.kind = RoutingKind::kArn;
+                                p.routing.kind = kArn;
                                 p.notify.throttle_injection = true;
                               }});
   doc.panels.push_back(run_grid_panel(
       "ADV+1 steady", "load", ctx.base,
       load_ticks(ctx.loads_or({0.1, 0.2, 0.3, 0.4})), steady, ctx.options,
       ctx.threads));
-  fill_header(doc, ctx, reps);
-  return doc;
 }
 
 // -------------------------------------------------------------------------
 // Observability: backlog formation through the spatial telemetry sink.
 
-ResultsDoc run_congestion_map(RunContext ctx) {
+void run_congestion_map(RunContext& ctx, ResultsDoc& doc) {
   ctx.default_traffic(TrafficKind::kAdversarial, 1);
   ctx.base.traffic.load = ctx.loads_or({0.30}).front();
-  const std::vector<RoutingKind> mechanisms = ctx.lineup_or(
-      {RoutingKind::kMin, RoutingKind::kCbBase, RoutingKind::kCbEctn});
+  const std::vector<RoutingKind> mechanisms =
+      ctx.lineup_or({kMin, kCbBase, kCbEctn});
+  doc.header.reps = 1;  // one instrumented run per mechanism
 
   // ~24 frames across the whole run, warmup included: the backlog builds
   // during warmup and the map should show it building, not just built.
   const Cycle span = ctx.options.warmup + ctx.options.measure;
   const Cycle period = std::max<Cycle>(1, span / 24);
 
-  ResultsDoc doc;
   Panel summary;
   summary.name = "mechanism summary";
   summary.kind = Panel::Kind::kGrid;
   summary.x_label = "mechanism";
   summary.series = {"network"};
-  std::vector<std::vector<std::vector<double>>> cols(5);
 
   for (const RoutingKind kind : mechanisms) {
     SimParams p = ctx.base;
@@ -840,10 +727,15 @@ ResultsDoc run_congestion_map(RunContext ctx) {
       }
       return rows;
     };
-    panel.metrics.emplace_back(
-        "occupancy", group_rows([&](std::int32_t f, RouterId r) {
-          return static_cast<double>(sink.occupancy(f, r));
-        }));
+    auto occupancy = group_rows([&](std::int32_t f, RouterId r) {
+      return static_cast<double>(sink.occupancy(f, r));
+    });
+    // Summary row: the worst group's peak backlog is the headline number.
+    double peak = 0.0;
+    for (const auto& row : occupancy) {
+      for (const double occ : row) peak = std::max(peak, occ);
+    }
+    panel.metrics.emplace_back("occupancy", std::move(occupancy));
     panel.metrics.emplace_back(
         "misroutes", group_rows([&](std::int32_t f, RouterId r) {
           return static_cast<double>(sink.misroutes(f, r));
@@ -854,43 +746,26 @@ ResultsDoc run_congestion_map(RunContext ctx) {
         }));
     doc.panels.push_back(std::move(panel));
 
-    // Summary row: the worst group's peak backlog is the headline number.
-    double peak = 0.0;
-    for (std::int32_t f = 0; f < frames; ++f) {
-      std::vector<double> group_occ(static_cast<std::size_t>(groups), 0.0);
-      for (RouterId r = 0; r < sink.routers(); ++r) {
-        group_occ[static_cast<std::size_t>(r / ga)] +=
-            static_cast<double>(sink.occupancy(f, r));
-      }
-      for (const double occ : group_occ) peak = std::max(peak, occ);
-    }
-    summary.x_labels.push_back(to_string(kind));
-    summary.x_values.push_back(kNaN);
-    cols[0].push_back({sim.metrics().mean_latency()});
-    cols[1].push_back({peak});
-    cols[2].push_back({static_cast<double>(sink.total_misroutes())});
-    cols[3].push_back({static_cast<double>(sink.total_credit_stalls())});
-    cols[4].push_back({static_cast<double>(sink.total_deliveries())});
-  }
-  const char* col_names[5] = {"latency_avg", "peak_group_occupancy",
-                              "misroute_decisions", "credit_stalls",
-                              "deliveries"};
-  for (int i = 0; i < 5; ++i) {
-    summary.metrics.emplace_back(col_names[i], std::move(cols[i]));
+    add_tick(summary, to_string(kind),
+             {{"latency_avg", sim.metrics().mean_latency()},
+              {"peak_group_occupancy", peak},
+              {"misroute_decisions",
+               static_cast<double>(sink.total_misroutes())},
+              {"credit_stalls",
+               static_cast<double>(sink.total_credit_stalls())},
+              {"deliveries", static_cast<double>(sink.total_deliveries())}});
   }
   summary.notes.push_back(
       "peak per-group backlog under ADV+1: MIN queues every group behind "
       "its single direct channel; the counter mechanisms divert onto "
       "intermediate groups and the peak flattens.");
   doc.panels.push_back(std::move(summary));
-  fill_header(doc, ctx, 1);
-  return doc;
 }
 
 // -------------------------------------------------------------------------
 // Table I
 
-ResultsDoc run_table1(RunContext ctx) {
+void run_table1(RunContext& /*ctx*/, ResultsDoc& doc) {
   const SimParams presets_list[4] = {presets::paper(), presets::medium(),
                                      presets::small(), presets::tiny()};
 
@@ -947,18 +822,37 @@ ResultsDoc run_table1(RunContext ctx) {
     return str(p.routing.ectn_update_period);
   });
 
-  ResultsDoc doc;
   doc.panels.push_back(std::move(table));
   doc.panels.push_back(
       ectn_estimate_panel("ECtN partial-broadcast overhead estimate"));
-  fill_header(doc, ctx, ctx.options.reps);
-  return doc;
+}
+
+/// Stamps the header with the context the experiment ran with.
+void fill_header(ResultsDoc& doc, const ExperimentSpec& spec,
+                 const RunContext& ctx) {
+  Header& h = doc.header;
+  h.experiment = spec.name;
+  h.title = spec.title;
+  h.paper_ref = spec.paper_ref;
+  h.topology = to_string(ctx.base.topology);
+  h.scale = ctx.scale;
+  h.nodes = ctx.base.nodes();
+  h.config_hash = config_hash(ctx.base);
+  h.engine_threads = ctx.base.engine.threads;
+  if (h.engine_threads != 1) {
+    SimParams serial = ctx.base;
+    serial.engine.threads = 1;
+    h.config_hash_serial = config_hash(serial);
+  }
+  h.seed = ctx.base.seed;
+  h.warmup = ctx.options.warmup;
+  h.measure = ctx.options.measure;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Registry
+// Registry: one row per experiment — docs text, runner, trend gates.
 
 const std::vector<ExperimentSpec>& experiment_registry() {
   static const std::vector<ExperimentSpec> kRegistry{
@@ -972,20 +866,34 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        "congestion; Hybrid sits between MIN and OLM; PB/OLM pay a latency "
        "premium for credit-triggered misrouting. Peak throughput: Hybrid "
        "highest, Base/ECtN close to OLM, all above MIN.",
-       run_fig5a},
+       load_figure({.panel = "UN", .traffic = TrafficKind::kUniform,
+                    .lineup = {kMin, kPiggyback, kOlm, kCbBase, kCbHybrid,
+                               kCbEctn},
+                    .loads = {0.05, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}}),
+       fig5a_gates},
+      // MIN rides along in fig5b: its collapse on the single inter-group
+      // link is one of the paper-parity gates.
       {"fig5b", "Figure 5b — adversarial traffic (ADV+1)", "Fig. 5b",
        "dragonfly",
        "VAL is the reference (saturates at 0.5); MIN collapses on the "
        "single inter-group link; OLM/Base/Hybrid/ECtN all reach the Valiant "
        "throughput bound, with ECtN obtaining the best latency thanks to "
        "injection-time misrouting from combined counters.",
-       run_fig5b},
+       load_figure({.panel = "ADV+1", .traffic = TrafficKind::kAdversarial,
+                    .lineup = {kMin, kValiant, kPiggyback, kOlm, kCbBase,
+                               kCbHybrid, kCbEctn},
+                    .loads = {0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45}}),
+       fig5b_gates},
       {"fig5c", "Figure 5c — adversarial traffic (ADV+h)", "Fig. 5c",
        "dragonfly",
        "The pathological pattern that additionally saturates local links in "
        "the intermediate group, exercising local misrouting: same ordering "
        "as ADV+1 but VAL/PB closer to the adaptive mechanisms.",
-       run_fig5c},
+       load_figure({.panel = "ADV+h", .traffic = TrafficKind::kAdversarial,
+                    .adv_offset = kOffsetH,
+                    .lineup = {kValiant, kPiggyback, kOlm, kCbBase,
+                               kCbHybrid, kCbEctn},
+                    .loads = {0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45}})},
       {"fig6", "Figure 6 — mixed ADV+1/UN traffic at 35% load", "Fig. 6",
        "dragonfly",
        "Average latency as the UN share sweeps 0..100%: contention counters "
@@ -998,20 +906,27 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        "follows Base until the next partial broadcast, then misroutes "
        "directly at injection. Misrouted share converges near 0% before and "
        "~100% after for the counter-based mechanisms.",
-       run_fig7},
+       switch_figure({.panel = "UN->ADV+1@0.2", .post = 250, .step = 10,
+                      .window = 10, .reps = 5, .lineup = adaptive_lineup()}),
+       fig7_gates},
       {"fig8", "Figure 8 — transient UN->ADV+1, large buffers", "Fig. 8",
        "dragonfly",
        "Same transient with 256/2048-phit VC buffers: the credit-based "
        "mechanisms adapt far more slowly (deeper buffers must fill before "
        "credits signal congestion) while the contention-based response "
        "stays put — buffer size is decoupled from the trigger.",
-       run_fig8},
+       switch_figure({.panel = "UN->ADV+1@0.2 large-buffers",
+                      .buf_local = 256, .buf_global = 2048,  // Fig. 8 caption
+                      .post = 1600, .step = 50, .window = 25, .reps = 3,
+                      .lineup = adaptive_lineup()})},
       {"fig9", "Figure 9 — oscillations after UN->ADV+1, PB vs ECtN",
        "Fig. 9", "dragonfly",
        "PB's delayed ECN control loop oscillates with a ~500-cycle decaying "
        "period; ECtN converges to a flat latency because contention does "
        "not depend on the routing decision.",
-       run_fig9},
+       switch_figure({.panel = "UN->ADV+1@0.2 long", .pre = 0, .post = 1600,
+                      .step = 25, .window = 25, .reps = 5,
+                      .lineup = {kPiggyback, kCbEctn}})},
       {"fig10", "Figure 10 — Base threshold sensitivity", "Fig. 10",
        "dragonfly",
        "Low thresholds penalize UN (spurious misrouting); high thresholds "
@@ -1084,7 +999,7 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        "degrades, the adaptive mechanisms route around the holes and retain "
        "disproportionate throughput. Hard invariants per cell: zero "
        "traversals of dead links, exact packet conservation.",
-       run_fault_degradation},
+       run_fault_degradation, fault_degradation_gates},
       {"fault_transient",
        "Fault overlay — trigger response to a fault onset",
        "beyond the paper", "dragonfly",
@@ -1093,7 +1008,7 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        "The contention-counter trigger (Base) reacts to the redistributed "
        "head-of-line contention within tens of cycles; the credit triggers "
        "(OLM, PB) respond only after the surviving links' buffers fill.",
-       run_fault_transient},
+       run_fault_transient, fault_transient_gates},
       {"notification_transient",
        "ARN — congestion-notification response to an ADV+1 onset",
        "beyond the paper", "dragonfly",
@@ -1106,7 +1021,7 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        "panel frames adaptation speed between the counter trigger (Base) "
        "and the credit trigger (PB); the steady ADV+1 panel holds the "
        "family to the Valiant throughput bound.",
-       run_notification_transient},
+       run_notification_transient, notification_gates},
       {"congestion_map",
        "Observability — per-group backlog formation under ADV+1",
        "beyond the paper", "dragonfly",
@@ -1115,7 +1030,7 @@ const std::vector<ExperimentSpec>& experiment_registry() {
        "under ADV+1: MIN queues every group behind its single direct "
        "channel while Base and ECtN divert onto intermediate groups. The "
        "summary table reports each mechanism's peak per-group backlog.",
-       run_congestion_map},
+       run_congestion_map, congestion_map_gates},
   };
   return kRegistry;
 }
@@ -1127,30 +1042,12 @@ const ExperimentSpec* find_experiment(const std::string& name) {
   return nullptr;
 }
 
-void fill_header(ResultsDoc& doc, const RunContext& ctx, std::int32_t reps) {
-  Header& h = doc.header;
-  h.topology = to_string(ctx.base.topology);
-  h.scale = ctx.scale;
-  h.nodes = ctx.base.nodes();
-  h.config_hash = config_hash(ctx.base);
-  h.engine_threads = ctx.base.engine.threads;
-  if (h.engine_threads != 1) {
-    SimParams serial = ctx.base;
-    serial.engine.threads = 1;
-    h.config_hash_serial = config_hash(serial);
-  }
-  h.seed = ctx.base.seed;
-  h.warmup = ctx.options.warmup;
-  h.measure = ctx.options.measure;
-  h.reps = reps;
-}
-
 ResultsDoc run_experiment(const ExperimentSpec& spec, const RunContext& ctx) {
-  ResultsDoc doc = spec.run(ctx);
-  doc.header.schema = kSchemaVersion;
-  doc.header.experiment = spec.name;
-  doc.header.title = spec.title;
-  doc.header.paper_ref = spec.paper_ref;
+  RunContext ran = ctx;  // runners adjust their copy; the header reads it
+  ResultsDoc doc;
+  doc.header.reps = ctx.options.reps;
+  spec.run(ran, doc);
+  fill_header(doc, spec, ran);
   return doc;
 }
 

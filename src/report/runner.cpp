@@ -1,8 +1,7 @@
 #include "report/runner.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <limits>
+#include <utility>
 
 #include "engine/sweep.hpp"
 
@@ -10,42 +9,34 @@ namespace dfsim::report {
 
 namespace {
 
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-/// The standard steady-state metric set captured for every grid cell.
-/// misrouted/minpath shares are stored as percentages (paper units).
-const std::vector<std::string>& steady_metric_names() {
-  static const std::vector<std::string> kNames{
-      "latency_avg",    "latency_p50",     "latency_p95",
-      "latency_p99",    "throughput",      "misrouted_pct",
-      "local_misrouted_pct", "minpath_pct", "backlog_per_node",
-      "generated_load", "latency_overflow",
-      // Fault-overlay columns — all exactly 0 for healthy runs. Golden
-      // comparison iterates the *golden's* metric list, so pre-fault goldens
-      // stay valid without regeneration.
-      "dropped_pct",    "undeliverable_pct", "dead_traversals",
-      "conservation_error", "timed_out"};
-  return kNames;
-}
-
-std::vector<double> steady_metric_values(const SteadyResult& r) {
-  return {r.latency_avg,
-          r.latency_p50,
-          r.latency_p95,
-          r.latency_p99,
-          r.throughput,
-          100.0 * r.misrouted_fraction,
-          100.0 * r.local_misrouted_fraction,
-          100.0 * r.minimal_path_fraction,
-          r.backlog_per_node,
-          r.generated_load,
-          r.latency_overflow,
-          r.dropped_pct,
-          r.undeliverable_pct,
-          r.dead_traversals,
-          r.conservation_error,
-          r.timed_out};
-}
+/// The standard steady-state metric set captured for every grid cell, one
+/// row per metric: its name and the SteadyResult field it reads. Shares are
+/// scaled to percentages (paper units). The fault-overlay rows from
+/// dropped_pct on are exactly 0 for healthy runs; golden comparison iterates
+/// the *golden's* metric list, so pre-fault goldens stay valid.
+struct SteadyMetric {
+  const char* name;
+  double SteadyResult::*field;
+  double scale = 1.0;
+};
+constexpr SteadyMetric kSteadyMetrics[] = {
+    {"latency_avg", &SteadyResult::latency_avg},
+    {"latency_p50", &SteadyResult::latency_p50},
+    {"latency_p95", &SteadyResult::latency_p95},
+    {"latency_p99", &SteadyResult::latency_p99},
+    {"throughput", &SteadyResult::throughput},
+    {"misrouted_pct", &SteadyResult::misrouted_fraction, 100.0},
+    {"local_misrouted_pct", &SteadyResult::local_misrouted_fraction, 100.0},
+    {"minpath_pct", &SteadyResult::minimal_path_fraction, 100.0},
+    {"backlog_per_node", &SteadyResult::backlog_per_node},
+    {"generated_load", &SteadyResult::generated_load},
+    {"latency_overflow", &SteadyResult::latency_overflow},
+    {"dropped_pct", &SteadyResult::dropped_pct},
+    {"undeliverable_pct", &SteadyResult::undeliverable_pct},
+    {"dead_traversals", &SteadyResult::dead_traversals},
+    {"conservation_error", &SteadyResult::conservation_error},
+    {"timed_out", &SteadyResult::timed_out},
+};
 
 }  // namespace
 
@@ -81,21 +72,15 @@ Panel run_grid_panel(const std::string& name, const std::string& x_label,
   }
   for (const GridSeries& line : series) panel.series.push_back(line.label);
 
-  const auto& metric_names = steady_metric_names();
-  panel.metrics.reserve(metric_names.size());
-  for (const std::string& metric : metric_names) {
-    panel.metrics.emplace_back(
-        metric, std::vector<std::vector<double>>(
-                    ticks.size(), std::vector<double>(series.size(), kNaN)));
-  }
-  for (std::size_t xi = 0; xi < ticks.size(); ++xi) {
-    for (std::size_t si = 0; si < series.size(); ++si) {
-      const std::vector<double> values =
-          steady_metric_values(results[xi * series.size() + si]);
-      for (std::size_t mi = 0; mi < values.size(); ++mi) {
-        panel.metrics[mi].second[xi][si] = values[mi];
+  for (const SteadyMetric& metric : kSteadyMetrics) {
+    std::vector<std::vector<double>> rows(ticks.size());
+    for (std::size_t xi = 0; xi < ticks.size(); ++xi) {
+      for (std::size_t si = 0; si < series.size(); ++si) {
+        const SteadyResult& r = results[xi * series.size() + si];
+        rows[xi].push_back(metric.scale * (r.*metric.field));
       }
     }
+    panel.metrics.emplace_back(metric.name, std::move(rows));
   }
   return panel;
 }
@@ -151,29 +136,27 @@ Panel run_transient_panel(const std::string& name,
   for (const TransientSeries& line : series) {
     panel.series.push_back(line.label);
   }
-  std::vector<std::vector<double>> latency;
-  std::vector<std::vector<double>> misrouted;
-  std::vector<std::vector<double>> p99;
   for (Cycle t = -options.pre; t < options.post; t += step) {
     panel.x_labels.push_back(std::to_string(t));
     panel.x_values.push_back(static_cast<double>(t));
-    std::vector<double> lat_row(series.size(), kNaN);
-    std::vector<double> mis_row(series.size(), kNaN);
-    std::vector<double> p99_row(series.size(), kNaN);
-    for (std::size_t si = 0; si < series.size(); ++si) {
-      lat_row[si] = results[si].latency_at(t, window);
-      mis_row[si] = results[si].misrouted_pct_at(t, window);
-      p99_row[si] = results[si].latency_p99_at(t, window);
-    }
-    latency.push_back(std::move(lat_row));
-    misrouted.push_back(std::move(mis_row));
-    p99.push_back(std::move(p99_row));
   }
-  panel.metrics.emplace_back("latency_avg", std::move(latency));
-  panel.metrics.emplace_back("misrouted_pct", std::move(misrouted));
-  // Schema-additive: golden comparison iterates the golden's metric list,
-  // so transient goldens recorded before this column stay valid.
-  panel.metrics.emplace_back("latency_p99", std::move(p99));
+  // latency_p99 is schema-additive: golden comparison iterates the golden's
+  // metric list, so transient goldens recorded before it stay valid.
+  using Sample = double (TransientResult::*)(Cycle, Cycle) const;
+  constexpr std::pair<const char*, Sample> kMetrics[] = {
+      {"latency_avg", &TransientResult::latency_at},
+      {"misrouted_pct", &TransientResult::misrouted_pct_at},
+      {"latency_p99", &TransientResult::latency_p99_at}};
+  for (const auto& [metric, sample] : kMetrics) {
+    std::vector<std::vector<double>> rows;
+    for (Cycle t = -options.pre; t < options.post; t += step) {
+      std::vector<double>& row = rows.emplace_back();
+      for (const TransientResult& r : results) {
+        row.push_back((r.*sample)(t, window));
+      }
+    }
+    panel.metrics.emplace_back(metric, std::move(rows));
+  }
   return panel;
 }
 

@@ -5,6 +5,7 @@
 // SteadyResult metric captured.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <string>
@@ -31,8 +32,8 @@ struct RunContext {
   std::optional<std::vector<RoutingKind>> lineup;
   /// --reps override; transients otherwise use their own (higher) defaults.
   std::optional<std::int32_t> reps;
-  /// --with-ugal appends the UGAL-L/UGAL-G extra baselines to whatever
-  /// line-up (default or --routings) is in effect.
+  /// --with-ugal appends the UGAL-L/UGAL-G extra baselines that the line-up
+  /// in effect (default or --routings) does not already hold.
   bool with_ugal = false;
   /// --traffic/--trace/--adv-offset were given: figure-mandated patterns
   /// must not clobber them (same contract as the old bench default_traffic).
@@ -53,9 +54,11 @@ struct RunContext {
       const std::vector<RoutingKind>& defaults) const {
     std::vector<RoutingKind> result =
         lineup && !lineup->empty() ? *lineup : defaults;
-    if (with_ugal) {
-      result.push_back(RoutingKind::kUgalL);
-      result.push_back(RoutingKind::kUgalG);
+    for (const RoutingKind kind : {RoutingKind::kUgalL, RoutingKind::kUgalG}) {
+      if (with_ugal && std::find(result.begin(), result.end(), kind) ==
+                           result.end()) {
+        result.push_back(kind);
+      }
     }
     return result;
   }

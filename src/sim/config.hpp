@@ -108,7 +108,7 @@ struct RouterParams {
   std::int32_t vcs_local = 3;        // local-port VCs (l0/l1/l2 hop classes)
   std::int32_t vcs_global = 2;       // global-port VCs (g0/g1 hop classes)
   std::int32_t vcs_injection = 1;
-  std::int32_t buf_output_phits = 32;
+  std::int32_t buf_output_phits = 32;  // Table I only: no engine code reads it
   std::int32_t buf_local_phits = 32;    // per VC, Table I "small buffers"
   std::int32_t buf_global_phits = 256;  // per VC
   /// Injection (source) queue depth in packets; bounds memory past saturation.

@@ -373,6 +373,30 @@ void test_registry_and_render() {
   std::cout << "registry + renderer ok\n";
 }
 
+void test_with_ugal_lineup() {
+  // --with-ugal appends only the UGAL baselines the line-up lacks: the
+  // companion-topology line-ups already hold UGAL-L, which must not be
+  // simulated twice.
+  RunContext ctx;
+  ctx.scale = "tiny";
+  ctx.base = presets::tiny();
+  ctx.options.warmup = 100;
+  ctx.options.measure = 100;
+  ctx.loads = std::vector<double>{0.1};
+  ctx.with_ugal = true;
+  const ResultsDoc doc =
+      run_experiment(*find_experiment("ablation_fbfly"), ctx);
+  const std::vector<std::string> expected{"MIN", "VAL", "UGAL-L", "Base",
+                                          "UGAL-G"};
+  assert(doc.panels.size() == 2);
+  for (const Panel& panel : doc.panels) assert(panel.series == expected);
+
+  ctx.lineup = std::vector<RoutingKind>{RoutingKind::kUgalG};
+  assert((ctx.lineup_or({RoutingKind::kMin}) ==
+          std::vector<RoutingKind>{RoutingKind::kUgalG, RoutingKind::kUgalL}));
+  std::cout << "with-ugal line-up ok\n";
+}
+
 }  // namespace
 
 int main() {
@@ -383,6 +407,7 @@ int main() {
   test_trend_gates();
   test_golden_gates();
   test_registry_and_render();
+  test_with_ugal_lineup();
   std::cout << "test_report: all ok\n";
   return 0;
 }

@@ -23,6 +23,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "engine/experiment.hpp"
 #include "engine/simulator.hpp"
@@ -182,16 +184,31 @@ int main() {
     assert(sim.conservation_error() == 0);
   }
 
-  // A shard count above the router count clamps instead of leaving shards
-  // empty, and keeps every invariant.
+  // One shard per router is the most the engine runs, and it keeps every
+  // invariant; one shard more is rejected by name instead of leaving a
+  // shard without routers.
   {
     SimParams p = presets::tiny();
     p.traffic.load = 0.2;
-    p.engine.threads = 64;  // tiny has 36 routers
+    p.engine.threads = p.topo.routers();  // 36
     Simulator sim(p);
     assert(sim.shard_count() == 36);
     sim.run(400);
     assert(sim.debug_check_active_state());
+    assert(sim.conservation_error() == 0);
+
+    p.engine.threads = p.topo.routers() + 1;
+    std::string what;
+    try {
+      Simulator too_many(p);
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
+    }
+    if (what.find("engine.threads") == std::string::npos) {
+      std::fprintf(stderr, "threads=37 on 36 routers not rejected ('%s')\n",
+                   what.c_str());
+      return EXIT_FAILURE;
+    }
   }
 
   return EXIT_SUCCESS;

@@ -172,8 +172,9 @@ int main() {
   // Nonsense physics is rejected up front, naming the key: a port class
   // with no VC (it would route onto VC -1 and read outside the queue
   // arrays), a speedup below 1 (no allocator iteration would run), a packet
-  // of no phits, an injection queue with no slot, a negative delay, and a
-  // buffer that cannot hold one packet.
+  // of no phits, an injection queue with no slot, a negative delay, a
+  // buffer that cannot hold one packet, and a shard count outside
+  // [1, routers].
   const auto rejected = [](const char* key, const std::string& bad) {
     SimParams p = presets::tiny();
     apply_param(p, key, bad);
@@ -204,6 +205,12 @@ int main() {
       std::to_string(presets::tiny().packet_size_phits - 1);
   for (const char* key : {"router.buf_local_phits", "router.buf_global_phits"}) {
     if (!rejected(key, one_phit_short)) return EXIT_FAILURE;
+  }
+  // More shards than routers (tiny has 36) used to be clamped silently.
+  const std::string one_shard_too_many =
+      std::to_string(presets::tiny().topo.routers() + 1);
+  for (const std::string& bad : {std::string("0"), one_shard_too_many}) {
+    if (!rejected("engine.threads", bad)) return EXIT_FAILURE;
   }
 
   // A sweep point that throws stops the pool, and the exception reaches the

@@ -323,7 +323,7 @@ std::vector<ResultsDoc> run_selected(const CliOptions& cli) {
     std::filesystem::create_directories(out_dir);
   }
   // One context for all experiments: --config/--trace are parsed and
-  // validated once; each spec.run copies it by value.
+  // validated once; run_experiment copies it per experiment.
   const RunContext ctx = make_context(cli);
   const bool progress = cli.has("progress");
   std::vector<ResultsDoc> docs;

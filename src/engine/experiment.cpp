@@ -167,6 +167,10 @@ double TransientResult::misrouted_pct_at(Cycle t, Cycle window) const {
                : 0.0;
 }
 
+BirthWindow transient_birth_window(Cycle start, Cycle pre, Cycle post) {
+  return BirthWindow{start - pre, start + pre + post};
+}
+
 TransientResult run_transient(const SimParams& params,
                               const TransientOptions& options) {
   TransientResult result(options.pre, options.post);
@@ -177,7 +181,9 @@ TransientResult run_transient(const SimParams& params,
     p.traffic = options.before;
     Simulator sim(p);
     bool ok = run_guarded(sim, options.warmup, options.heartbeat);
-    sim.enable_delivery_log();
+    const BirthWindow logged =
+        transient_birth_window(sim.now(), options.pre, options.post);
+    sim.enable_delivery_log(logged.lo, logged.hi);
     if (ok) ok = run_guarded(sim, options.pre, options.heartbeat);
     const Cycle switch_cycle = sim.now();
     sim.set_traffic(options.after);

@@ -104,6 +104,18 @@ class TransientResult {
   std::vector<LatencyHistogram> hist_;  // per birth-cycle bucket
 };
 
+/// Birth cycles [lo, hi) whose deliveries a transient rep logs. The log
+/// opens at the end of warmup, cycle `start`, and the switch lands in
+/// [start, start + pre] (earlier than start + pre only when the watchdog
+/// stops the pre run), so the window holds [switch - pre, switch + post),
+/// every birth TransientResult::record keeps.
+struct BirthWindow {
+  Cycle lo = 0;
+  Cycle hi = 0;
+};
+[[nodiscard]] BirthWindow transient_birth_window(Cycle start, Cycle pre,
+                                                 Cycle post);
+
 [[nodiscard]] TransientResult run_transient(const SimParams& params,
                                             const TransientOptions& options);
 

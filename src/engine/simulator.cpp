@@ -963,10 +963,13 @@ void Simulator::deliver(Shard& sh, RouterId r, std::int32_t packet) {
   if (!mis_global && !mis_local) ++sh.metrics.minimal_path;
 
   if (log_deliveries_) {
-    if (sh.deliveries.size() == sh.deliveries.capacity()) ++sh.log_growth;
-    // dfsim-check: allow(CHK-ALLOC): growth is counted in log_growth
-    sh.deliveries.push_back(Delivery{sh.pool.birth[pi], latency, mis_global,
-                                     !mis_global && !mis_local});
+    const Cycle birth = sh.pool.birth[pi];
+    if (birth >= sh.log_birth_lo && birth < sh.log_birth_hi) {
+      if (sh.deliveries.size() == sh.deliveries.capacity()) ++sh.log_growth;
+      // dfsim-check: allow(CHK-ALLOC): growth is counted in log_growth
+      sh.deliveries.push_back(
+          Delivery{birth, latency, mis_global, !mis_global && !mis_local});
+    }
   }
   if (telemetry_on_) sink_.count_delivery(r);
   if (trace_on_) {
@@ -1385,9 +1388,13 @@ void Simulator::start_trace_recording(std::size_t reserve_records) {
   shards_[0].traffic->start_recording(reserve_records);
 }
 
-void Simulator::enable_delivery_log() {
+void Simulator::enable_delivery_log(Cycle birth_lo, Cycle birth_hi) {
   log_deliveries_ = true;
-  for (Shard& sh : shards_) sh.deliveries.clear();
+  for (Shard& sh : shards_) {
+    sh.deliveries.clear();
+    sh.log_birth_lo = birth_lo;
+    sh.log_birth_hi = birth_hi;
+  }
 }
 
 void Simulator::enable_ectn_monitor(std::int32_t async_mult,

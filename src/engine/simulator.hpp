@@ -75,6 +75,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -217,10 +218,14 @@ class Simulator : private routing::EngineProbe {
     shards_[0].traffic->write_recorded(path);
   }
 
-  /// Per-delivery records for birth-bucketed transient analysis. With
-  /// threads > 1 the log is the concatenation of the per-shard logs in
-  /// ascending shard order (deterministic, but not birth-sorted).
-  void enable_delivery_log();
+  /// Per-delivery records for birth-bucketed transient analysis, kept only
+  /// for packets born in [birth_lo, birth_hi); the no-argument call logs
+  /// every delivery. Each shard filters its own log, and with threads > 1
+  /// the log is the concatenation of the per-shard logs in ascending shard
+  /// order (deterministic, but not birth-sorted).
+  void enable_delivery_log(
+      Cycle birth_lo = std::numeric_limits<Cycle>::min(),
+      Cycle birth_hi = std::numeric_limits<Cycle>::max());
   [[nodiscard]] const std::vector<Delivery>& delivery_log() const;
 
   /// Live ECtN broadcast-overhead measurement (Section VI-B ablation).
@@ -361,6 +366,10 @@ class Simulator : private routing::EngineProbe {
     std::vector<Delivery> deliveries;
     std::int64_t log_growth = 0;
     std::int64_t msg_growth = 0;
+    // Birth window [lo, hi) of the logged deliveries; it fills padding
+    // before `outbox`, so the shard keeps its size.
+    Cycle log_birth_lo = 0;
+    Cycle log_birth_hi = 0;
     // Outboxes by cycle parity, one per dest shard: cycle t sends into
     // parity t & 1 while receivers merge parity (t - 1) & 1. Every receiver
     // reads these headers, so they get a line of their own.

@@ -40,14 +40,29 @@ SimParams torus_base_for(const std::string& scale) {
 }
 
 /// Re-bases a companion-topology context on the topology's own per-scale
-/// preset. When the user already selected this topology themselves
-/// (`--set=topology=fbfly;fbfly.k=5...` or a --config file), their fully
-/// configured base is kept instead — rebasing would silently discard those
-/// overrides.
+/// preset, which sets its shape and physics; only the seed and the engine
+/// settings (engine.threads) carry over. When the user already selected
+/// this topology themselves (`--set=topology=fbfly;fbfly.k=5...` or a
+/// --config file), their fully configured base is kept instead — rebasing
+/// would silently discard those overrides.
 void rebase(RunContext& ctx, SimParams base) {
   if (ctx.base.topology == base.topology) return;
   base.seed = ctx.base.seed;
+  base.engine = ctx.base.engine;
   ctx.base = std::move(base);
+}
+
+/// Pins `ctx` to one shard for an instrument that keeps whole-network state
+/// (the ECtN overhead monitor, the telemetry sink), so the header reports
+/// the shard count that ran. For a sharded request, appends a note to
+/// `panel` saying why.
+void pin_one_shard(RunContext& ctx, Panel& panel, const char* instrument) {
+  const std::int32_t requested = ctx.base.engine.threads;
+  ctx.base.engine.threads = 1;
+  if (requested == 1) return;
+  panel.notes.push_back("ran at engine.threads = 1, not the requested " +
+                        std::to_string(requested) + ": the " + instrument +
+                        " keeps whole-network state");
 }
 
 /// Appends a categorical tick to a one-series grid panel: one value per
@@ -350,6 +365,7 @@ void run_ablation_ectn_overhead(RunContext& ctx, ResultsDoc& doc) {
   measured.kind = Panel::Kind::kGrid;
   measured.x_label = "scenario";
   measured.series = {"ECtN"};
+  pin_one_shard(ctx, measured, "ECtN overhead monitor");
   for (const Scenario& sc : scenarios) {
     SimParams p = ctx.base;
     p.routing.kind = kCbEctn;
@@ -542,6 +558,7 @@ void run_ablation_fbfly_transient(RunContext& ctx, ResultsDoc& doc) {
                                  ctx.base.fbfly.c, v.buf);
     p.routing.kind = v.routing;
     p.seed = ctx.base.seed;
+    p.engine = ctx.base.engine;
     series.push_back(TransientSeries{v.name, p});
   }
   // UN -> ADJ, the FB row adversary, over default traffic parameters.
@@ -683,6 +700,7 @@ void run_congestion_map(RunContext& ctx, ResultsDoc& doc) {
   summary.kind = Panel::Kind::kGrid;
   summary.x_label = "mechanism";
   summary.series = {"network"};
+  pin_one_shard(ctx, summary, "telemetry sink");
 
   for (const RoutingKind kind : mechanisms) {
     SimParams p = ctx.base;

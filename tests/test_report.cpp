@@ -397,6 +397,71 @@ void test_with_ugal_lineup() {
   std::cout << "with-ugal line-up ok\n";
 }
 
+RunContext short_tiny_context(std::int32_t engine_threads) {
+  RunContext ctx;
+  ctx.scale = "tiny";
+  ctx.base = presets::tiny();
+  ctx.base.engine.threads = engine_threads;
+  ctx.options.warmup = 100;
+  ctx.options.measure = 100;
+  ctx.loads = std::vector<double>{0.2};
+  ctx.reps = 1;
+  return ctx;
+}
+
+void test_companion_engine_threads() {
+  // The companion-topology experiments swap in the fbfly/torus preset but
+  // keep engine.threads: the header reports the shard count, and the
+  // panels differ from the serial run's (a different deterministic
+  // simulation), so every series really ran sharded.
+  for (const char* name :
+       {"ablation_fbfly", "ablation_fbfly_transient", "ablation_torus"}) {
+    const ExperimentSpec& spec = *find_experiment(name);
+    const ResultsDoc serial = run_experiment(spec, short_tiny_context(1));
+    const ResultsDoc sharded = run_experiment(spec, short_tiny_context(2));
+    assert(serial.header.engine_threads == 1);
+    assert(sharded.header.engine_threads == 2);
+    assert(sharded.header.config_hash_serial == serial.header.config_hash);
+    assert(sharded.panels.size() == serial.panels.size());
+    const auto panel_json = [](const Panel& panel) {
+      ResultsDoc one;
+      one.panels.push_back(panel);
+      return to_json(one).dump();
+    };
+    for (std::size_t i = 0; i < sharded.panels.size(); ++i) {
+      assert(panel_json(sharded.panels[i]) != panel_json(serial.panels[i]));
+    }
+  }
+  std::cout << "companion engine.threads ok\n";
+}
+
+void test_instrumented_one_shard() {
+  // The ECtN overhead monitor and the telemetry sink keep whole-network
+  // state: a sharded request runs one shard, reports it, and says why in a
+  // note; the results are the serial run's.
+  for (const char* name : {"ablation_ectn_overhead", "congestion_map"}) {
+    const ExperimentSpec& spec = *find_experiment(name);
+    const ResultsDoc serial = run_experiment(spec, short_tiny_context(1));
+    ResultsDoc sharded = run_experiment(spec, short_tiny_context(2));
+    assert(sharded.header.engine_threads == 1);
+    assert(sharded.header.config_hash == serial.header.config_hash);
+    std::size_t noted = 0;
+    for (Panel& panel : sharded.panels) {
+      for (auto it = panel.notes.begin(); it != panel.notes.end();) {
+        if (it->find("keeps whole-network state") != std::string::npos) {
+          it = panel.notes.erase(it);
+          ++noted;
+        } else {
+          ++it;
+        }
+      }
+    }
+    assert(noted == 1);
+    assert(to_json(sharded).dump() == to_json(serial).dump());
+  }
+  std::cout << "instrumented experiments at one shard ok\n";
+}
+
 }  // namespace
 
 int main() {
@@ -408,6 +473,8 @@ int main() {
   test_golden_gates();
   test_registry_and_render();
   test_with_ugal_lineup();
+  test_companion_engine_threads();
+  test_instrumented_one_shard();
   std::cout << "test_report: all ok\n";
   return 0;
 }

@@ -42,6 +42,11 @@
 //     thread-start jitter matches the run without jitter byte for byte,
 //     and no shard's traffic model holds a drawn-ahead cycle between
 //     dispatches.
+// (8) A birth-windowed delivery log filters without perturbing the run: at
+//     threads 1 and 2, a UN -> ADV+1 twin logging only a transient's birth
+//     window matches its full-log twin in every metric, and its log is the
+//     full log filtered to the window, in the same order.
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdio>
@@ -49,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/experiment.hpp"
 #include "engine/simulator.hpp"
 #include "report/json.hpp"
 #include "report/parity.hpp"
@@ -259,6 +265,33 @@ RunCapture run_transient(std::int32_t jitter_us) {
   return cap;
 }
 
+// Tiny UN at 0.2 switched to ADV+1 as run_transient switches it, the log
+// opened at the end of warmup: over the transient's birth window when
+// `window` is set, else for every delivery.
+RunCapture run_switch(std::int32_t threads, const BirthWindow* window) {
+  SimParams p = presets::tiny();
+  p.routing.kind = RoutingKind::kCbBase;
+  p.traffic.kind = TrafficKind::kUniform;
+  p.traffic.load = 0.2;
+  p.seed = 31;
+  p.engine.threads = threads;
+  Simulator sim(p);
+  sim.run(400);
+  if (window != nullptr) {
+    sim.enable_delivery_log(window->lo, window->hi);
+  } else {
+    sim.enable_delivery_log();
+  }
+  sim.run(50);
+  TrafficParams adv = p.traffic;
+  adv.kind = TrafficKind::kAdversarial;
+  adv.adv_offset = 1;
+  sim.set_traffic(adv);
+  sim.run(150 + 600);  // post, then a drain that outlives the window
+  assert(sim.debug_check_active_state());
+  return capture(sim);
+}
+
 std::string run_doc(std::int32_t threads) {
   const report::ExperimentSpec* spec = report::find_experiment("fig5a");
   assert(spec != nullptr);
@@ -439,6 +472,32 @@ int main() {
         hash_capture(cap) != hash_capture(transient)) {
       std::fprintf(stderr, "UN -> ADV+1 transient (jitter %d us) diverged\n",
                    jitter);
+      return EXIT_FAILURE;
+    }
+  }
+
+  // --- (8) a birth-windowed log filters, never perturbs ------------------
+  const BirthWindow window = transient_birth_window(400, 50, 150);
+  for (const std::int32_t threads : {1, 2}) {
+    RunCapture full = run_switch(threads, nullptr);
+    const RunCapture windowed = run_switch(threads, &window);
+    const std::size_t logged_all = full.deliveries.size();
+    std::erase_if(full.deliveries, [&window](const Simulator::Delivery& d) {
+      return d.birth < window.lo || d.birth >= window.hi;
+    });
+    const bool in_window = std::all_of(
+        windowed.deliveries.begin(), windowed.deliveries.end(),
+        [&window](const Simulator::Delivery& d) {
+          return d.birth >= window.lo && d.birth < window.hi;
+        });
+    if (!identical(full, windowed) || !in_window ||
+        windowed.deliveries.empty() ||
+        windowed.deliveries.size() >= logged_all) {
+      std::fprintf(stderr,
+                   "windowed log at threads %d: %zu records, full log %zu "
+                   "(%zu in the window)\n",
+                   threads, windowed.deliveries.size(), logged_all,
+                   full.deliveries.size());
       return EXIT_FAILURE;
     }
   }

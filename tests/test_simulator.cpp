@@ -109,6 +109,19 @@ int main() {
     }
   }
 
+  // The transient log's birth window holds every birth TransientResult
+  // keeps wherever the switch lands in [start, start + pre]: at start + pre
+  // normally, earlier when the watchdog stops the pre run (start itself
+  // when it stops the warmup and the pre run is skipped).
+  for (const Cycle pre : {Cycle{0}, Cycle{1}, Cycle{50}}) {
+    const Cycle start = 1000;
+    const Cycle post = 250;
+    const BirthWindow logged = transient_birth_window(start, pre, post);
+    for (Cycle at = start; at <= start + pre; ++at) {
+      assert(logged.lo <= at - pre && at + post <= logged.hi);
+    }
+  }
+
   // Sweep engine: results come back in order and match serial runs.
   {
     SimParams p = presets::tiny();

@@ -1,6 +1,7 @@
 #include "engine/experiment.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 
 namespace dfsim {
@@ -12,9 +13,9 @@ namespace {
 /// total blackout under a fault schedule) stops early and its result is
 /// flagged timed_out instead of hanging. Deterministic (cycle-based).
 constexpr Cycle kProgressWindow = 50000;
-/// Extra cycles a transient simulates past `post` so late-born packets still
-/// deliver into their birth buckets.
-constexpr Cycle kTransientDrain = 2000;
+/// Drain step: the log's record count is checked between steps, so a rep
+/// overshoots its last window-born delivery by under this many cycles.
+constexpr Cycle kDrainChunk = 50;
 
 /// Runs `sim` forward `cycles` cycles in kProgressWindow-sized chunks,
 /// stopping early when no packet has been delivered over a full window while
@@ -131,6 +132,17 @@ void TransientResult::record(Cycle birth_rel, Cycle latency, bool misrouted) {
   hist_[i].add(latency);
 }
 
+void TransientResult::merge(const TransientResult& other) {
+  assert(other.pre_ == pre_ && other.post_ == post_);
+  timed_out_ = timed_out_ || other.timed_out_;
+  for (std::size_t i = 0; i < count_.size(); ++i) {
+    count_[i] += other.count_[i];
+    misrouted_[i] += other.misrouted_[i];
+    latency_sum_[i] += other.latency_sum_[i];
+    hist_[i].merge(other.hist_[i]);
+  }
+}
+
 double TransientResult::latency_at(Cycle t, Cycle window) const {
   const Cycle half = window / 2;
   const Cycle lo = std::max<Cycle>(-pre_, t - half);
@@ -171,30 +183,67 @@ BirthWindow transient_birth_window(Cycle start, Cycle pre, Cycle post) {
   return BirthWindow{start - pre, start + pre + post};
 }
 
+TransientRun drive_transient(Simulator& sim, const TransientOptions& options) {
+  const auto& heartbeat = options.heartbeat;
+  const auto accepted = [&sim] {
+    const Simulator::Totals& t = sim.lifetime_totals();
+    return t.generated - t.refused;
+  };
+  // The log opens at the window's first birth (cycle 0 when the warmup is
+  // shorter than `pre`), so every packet born in the window is logged when
+  // it is delivered.
+  const Cycle lead = std::min(options.pre, options.warmup);
+  bool ok = run_guarded(sim, options.warmup - lead, heartbeat);
+  const BirthWindow logged =
+      transient_birth_window(sim.now() + lead, options.pre, options.post);
+  sim.enable_delivery_log(logged.lo, logged.hi);
+  const std::int64_t accepted_lo = accepted();
+  if (ok) ok = run_guarded(sim, lead, heartbeat);
+  if (ok) ok = run_guarded(sim, options.pre, heartbeat);
+  const Cycle switch_cycle = sim.now();
+  sim.set_traffic(options.after);
+  if (ok) ok = run_guarded(sim, options.post, heartbeat);
+  if (ok) {
+    // Births in the window are over (now == logged.hi): once the log holds
+    // one record per packet born in it, no later delivery can add one.
+    const std::int64_t born = accepted() - accepted_lo;
+    const auto start = std::chrono::steady_clock::now();
+    for (Cycle drained = 0; drained < kTransientDrain &&
+                            sim.logged_deliveries() < born;
+         drained += kDrainChunk) {
+      sim.run(std::min(kDrainChunk, kTransientDrain - drained));
+    }
+    if (heartbeat) {
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - start;
+      heartbeat(sim.now(), sim.lifetime_totals().delivered, elapsed.count());
+    }
+  }
+  return TransientRun{switch_cycle, !ok};
+}
+
+TransientResult run_transient_rep(const SimParams& params,
+                                  const TransientOptions& options,
+                                  std::int32_t rep) {
+  SimParams p = params;
+  p.seed = params.seed + static_cast<std::uint64_t>(rep) * 7919u;
+  p.traffic = options.before;
+  Simulator sim(p);
+  const TransientRun run = drive_transient(sim, options);
+  TransientResult result(options.pre, options.post);
+  if (run.timed_out) result.mark_timed_out();
+  for (const Simulator::Delivery& d : sim.delivery_log()) {
+    result.record(d.birth - run.switch_cycle, d.latency, d.misrouted);
+  }
+  return result;
+}
+
 TransientResult run_transient(const SimParams& params,
                               const TransientOptions& options) {
   TransientResult result(options.pre, options.post);
   const std::int32_t reps = options.reps < 1 ? 1 : options.reps;
   for (std::int32_t rep = 0; rep < reps; ++rep) {
-    SimParams p = params;
-    p.seed = params.seed + static_cast<std::uint64_t>(rep) * 7919u;
-    p.traffic = options.before;
-    Simulator sim(p);
-    bool ok = run_guarded(sim, options.warmup, options.heartbeat);
-    const BirthWindow logged =
-        transient_birth_window(sim.now(), options.pre, options.post);
-    sim.enable_delivery_log(logged.lo, logged.hi);
-    if (ok) ok = run_guarded(sim, options.pre, options.heartbeat);
-    const Cycle switch_cycle = sim.now();
-    sim.set_traffic(options.after);
-    if (ok) {
-      ok = run_guarded(sim, options.post + kTransientDrain, options.heartbeat);
-    }
-    if (!ok) result.mark_timed_out();
-
-    for (const Simulator::Delivery& d : sim.delivery_log()) {
-      result.record(d.birth - switch_cycle, d.latency, d.misrouted);
-    }
+    result.merge(run_transient_rep(params, options, rep));
   }
   return result;
 }

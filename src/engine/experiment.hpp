@@ -82,6 +82,13 @@ class TransientResult {
   [[nodiscard]] double misrouted_pct_at(Cycle t, Cycle window) const;
 
   void record(Cycle birth_rel, Cycle latency, bool misrouted);
+  /// Adds `other`'s records (same pre/post). Every merged value is a count
+  /// or a sum of whole-number latencies, so any merge order gives the same
+  /// bits as recording one rep after another.
+  void merge(const TransientResult& other);
+
+  friend bool operator==(const TransientResult&,
+                         const TransientResult&) = default;
 
   [[nodiscard]] Cycle pre() const { return pre_; }
   [[nodiscard]] Cycle post() const { return post_; }
@@ -104,11 +111,11 @@ class TransientResult {
   std::vector<LatencyHistogram> hist_;  // per birth-cycle bucket
 };
 
-/// Birth cycles [lo, hi) whose deliveries a transient rep logs. The log
-/// opens at the end of warmup, cycle `start`, and the switch lands in
-/// [start, start + pre] (earlier than start + pre only when the watchdog
-/// stops the pre run), so the window holds [switch - pre, switch + post),
-/// every birth TransientResult::record keeps.
+/// Birth cycles [lo, hi) whose deliveries a transient rep logs, for a
+/// warmup ending at cycle `start`. The switch lands in [start, start + pre]
+/// (earlier than start + pre only when the watchdog stops the pre run), so
+/// the window holds [switch - pre, switch + post), every birth
+/// TransientResult::record keeps.
 struct BirthWindow {
   Cycle lo = 0;
   Cycle hi = 0;
@@ -116,6 +123,33 @@ struct BirthWindow {
 [[nodiscard]] BirthWindow transient_birth_window(Cycle start, Cycle pre,
                                                  Cycle post);
 
+/// Cycles a transient simulates past `post`, at most, so late-born packets
+/// still deliver into their birth buckets.
+inline constexpr Cycle kTransientDrain = 2000;
+
+/// How one transient rep ran (drive_transient).
+struct TransientRun {
+  Cycle switch_cycle = 0;
+  bool timed_out = false;  // the watchdog stopped it
+};
+
+/// One transient rep on a fresh simulator running `options.before`: warmup,
+/// `pre` cycles, the switch to `options.after`, `post` cycles and the drain.
+/// The delivery log opens at the window's first birth (warmup end - pre),
+/// and the accepted injections (generated - refused) are read at both ends
+/// of the window, so the drain runs only until the log holds one record
+/// per packet born in the window: nothing later adds a record. When drops
+/// keep the log short of that count, it drains the full kTransientDrain.
+/// Leaves the window's deliveries in sim.delivery_log().
+[[nodiscard]] TransientRun drive_transient(Simulator& sim,
+                                           const TransientOptions& options);
+
+/// Rep `rep` of a transient (seed params.seed + rep * 7919).
+[[nodiscard]] TransientResult run_transient_rep(const SimParams& params,
+                                                const TransientOptions& options,
+                                                std::int32_t rep);
+
+/// Every rep, merged in rep order.
 [[nodiscard]] TransientResult run_transient(const SimParams& params,
                                             const TransientOptions& options);
 

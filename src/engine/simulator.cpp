@@ -23,12 +23,8 @@ void Simulator::debug_set_shard_jitter(std::int32_t us) {
 }
 
 Simulator::Simulator(const SimParams& params)
-    : Simulator(params, make_topology(params)) {}
-
-Simulator::Simulator(const SimParams& params,
-                     std::unique_ptr<const Topology> topology)
     : params_(params),
-      topo_owner_(std::move(topology)),
+      topo_owner_(make_topology(params)),
       topo_(*topo_owner_) {
   radix_ = topo_.radix();
   fwd_ = topo_.forward_ports();
@@ -91,10 +87,9 @@ Simulator::Simulator(const SimParams& params,
     health_.init(topo_.routers(), radix_);
     hop_cap_ = std::max(1, params_.fault.hop_cap);
     fault_next_event_ = params_.fault.onset;
-    // The simulator holds exclusive ownership of the topology instance
-    // (stored const for the hot path); attaching the health overlay is the
-    // one sanctioned mutation, and only happens when faults are enabled.
-    const_cast<Topology&>(topo_).attach_link_health(&health_);
+    // Attaching the health overlay is the one mutation of the topology the
+    // simulator owns, and only happens when faults are enabled.
+    topo_owner_->attach_link_health(&health_);
   }
 
   // After the fault block (fault_overlay() must already answer truthfully),
@@ -391,7 +386,9 @@ void Simulator::deactivate_queue(Shard& sh, std::int32_t q) {
   }
 }
 
-void Simulator::push_queue(Shard& sh, std::int32_t q, std::int32_t packet) {
+template <class Topo>
+void Simulator::push_queue(Shard& sh, const Topo& topo, std::int32_t q,
+                           std::int32_t packet) {
   const auto qi = static_cast<std::size_t>(q);
   assert(q_size_[qi] < q_cap_[qi]);
   const std::int32_t slot =
@@ -399,11 +396,12 @@ void Simulator::push_queue(Shard& sh, std::int32_t q, std::int32_t packet) {
   slab_[static_cast<std::size_t>(slot)] = packet;
   if (++q_size_[qi] == 1) {
     activate_queue(sh, q);
-    on_new_head(sh, q);
+    on_new_head(sh, topo, q);
   }
 }
 
-std::int32_t Simulator::pop_queue(Shard& sh, std::int32_t q,
+template <class Topo>
+std::int32_t Simulator::pop_queue(Shard& sh, const Topo& topo, std::int32_t q,
                                   std::int32_t port, VcIndex vc) {
   const auto qi = static_cast<std::size_t>(q);
   assert(q_size_[qi] > 0);
@@ -414,7 +412,7 @@ std::int32_t Simulator::pop_queue(Shard& sh, std::int32_t q,
   --q_size_[qi];
   return_credit(sh, port, vc);
   if (q_size_[qi] > 0) {
-    on_new_head(sh, q);
+    on_new_head(sh, topo, q);
   } else {
     deactivate_queue(sh, q);
   }
@@ -437,7 +435,8 @@ void Simulator::return_credit(Shard& sh, std::int32_t port, VcIndex vc) {
   push_msg(sh, port_owner(up), m);
 }
 
-void Simulator::on_new_head(Shard& sh, std::int32_t q) {
+template <class Topo>
+void Simulator::on_new_head(Shard& sh, const Topo& topo, std::int32_t q) {
   const auto qi = static_cast<std::size_t>(q);
   const RouterId r = q / (radix_ * vmax_);
   const PortIndex ip = (q / vmax_) % radix_;
@@ -451,8 +450,8 @@ void Simulator::on_new_head(Shard& sh, std::int32_t q) {
   if ((pool.flags[pi] & PacketPool::kPhase0) && pool.via_port[pi] < 0 &&
       pool.target_router[pi] == r) {
     pool.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kPhase0);
-    pool.target_router[pi] = topo_.router_of_node(pool.dst[pi]);
-    pool.g_hops[pi] = topo_.phase_end_state(pool.g_hops[pi]);
+    pool.target_router[pi] = topo.router_of_node(pool.dst[pi]);
+    pool.g_hops[pi] = topo.phase_end_state(pool.g_hops[pi]);
   }
 
   if (trace_on_) {
@@ -461,13 +460,14 @@ void Simulator::on_new_head(Shard& sh, std::int32_t q) {
   }
 
   if (ip >= fwd_ && !(pool.flags[pi] & PacketPool::kRouted)) {
-    decide_injection(sh, r, packet);
+    decide_injection(sh, topo, r, packet);
   }
-  maybe_transit_misroute(sh, r, q, packet);
+  maybe_transit_misroute(sh, topo, r, q, packet);
 
-  const PortIndex counted = topo_.minimal_output(r, pool.dst[pi]);
+  const PortIndex counted = topo.minimal_output(r, pool.dst[pi]);
   q_counted_[qi] = static_cast<std::int16_t>(counted);
-  q_request_[qi] = static_cast<std::int16_t>(routed_output(pool, r, packet));
+  q_request_[qi] =
+      static_cast<std::int16_t>(routed_output(topo, pool, r, packet));
   q_wait_[qi] = 0;
   routing_->on_head(flat_port(r, counted));
 }
@@ -475,31 +475,33 @@ void Simulator::on_new_head(Shard& sh, std::int32_t q) {
 // ---------------------------------------------------------------------------
 // Routing decisions
 
-PortIndex Simulator::route_output(const PacketPool& pool, RouterId r,
-                                  std::int32_t packet) const {
+template <class Topo>
+PortIndex Simulator::route_output(const Topo& topo, const PacketPool& pool,
+                                  RouterId r, std::int32_t packet) const {
   const auto pi = static_cast<std::size_t>(packet);
   PortIndex out;
   RouterId target;
   if (pool.flags[pi] & PacketPool::kPhase0) {
     target = pool.target_router[pi];
     out = r == target ? static_cast<PortIndex>(pool.via_port[pi])
-                      : topo_.route_toward(r, target);
+                      : topo.route_toward(r, target);
   } else {
-    target = topo_.router_of_node(pool.dst[pi]);
-    out = topo_.minimal_output(r, pool.dst[pi]);
+    target = topo.router_of_node(pool.dst[pi]);
+    out = topo.minimal_output(r, pool.dst[pi]);
   }
   if (fault_on_ && out >= 0 && out < fwd_ && !health_.link_up(r, out)) {
     // Preferred link is down: deterministic topology fallback (no RNG — a
     // blocked head may re-evaluate this every cycle). kInvalidPort when
     // every forward link of `r` is down.
-    out = topo_.fallback_output(r, target, out);
+    out = topo.fallback_output(r, target, out);
   }
   return out;
 }
 
-PortIndex Simulator::routed_output(const PacketPool& pool, RouterId r,
-                                   std::int32_t packet) {
-  const PortIndex out = route_output(pool, r, packet);
+template <class Topo>
+PortIndex Simulator::routed_output(const Topo& topo, const PacketPool& pool,
+                                   RouterId r, std::int32_t packet) {
+  const PortIndex out = route_output(topo, pool, r, packet);
   if (telemetry_on_ && fault_on_ && out >= 0) {
     // Re-derive the healthy-path preference; route_output only diverges
     // from it when it fell back around a dead link.
@@ -508,9 +510,9 @@ PortIndex Simulator::routed_output(const PacketPool& pool, RouterId r,
     if (pool.flags[pi] & PacketPool::kPhase0) {
       const RouterId target = pool.target_router[pi];
       pref = r == target ? static_cast<PortIndex>(pool.via_port[pi])
-                         : topo_.route_toward(r, target);
+                         : topo.route_toward(r, target);
     } else {
-      pref = topo_.minimal_output(r, pool.dst[pi]);
+      pref = topo.minimal_output(r, pool.dst[pi]);
     }
     if (pref != out) {
       sink_.count_misroute(r, telemetry::MisrouteCause::kFaultFallback);
@@ -550,7 +552,7 @@ std::int32_t Simulator::free_credits(RouterId r, PortIndex out,
   // The VC a non-phase-0 packet in hop state `vc_state` would take on
   // (r, out), clamped like vc_for; OLM's exact-blocked test reads this.
   const VcIndex cls = topo_.vc_class(r, out, vc_state, false);
-  const VcIndex vcn = std::min<VcIndex>(cls, class_vcs(out) - 1);
+  const VcIndex vcn = std::min<VcIndex>(cls, class_vcs(topo_, out) - 1);
   return q_free_[credit_index(static_cast<std::size_t>(flat_port(r, out)),
                               vcn)];
 }
@@ -571,13 +573,14 @@ std::int32_t Simulator::port_capacity_phits(PortIndex out) const {
   return std::max(psize_, params_.router.buf_global_phits);
 }
 
-VcIndex Simulator::vc_for(const PacketPool& pool, RouterId r, PortIndex out,
-                          std::int32_t packet) const {
+template <class Topo>
+VcIndex Simulator::vc_for(const Topo& topo, const PacketPool& pool, RouterId r,
+                          PortIndex out, std::int32_t packet) const {
   const auto pi = static_cast<std::size_t>(packet);
   const VcIndex cls =
-      topo_.vc_class(r, out, pool.g_hops[pi],
-                     (pool.flags[pi] & PacketPool::kPhase0) != 0);
-  return std::min<VcIndex>(cls, class_vcs(out) - 1);
+      topo.vc_class(r, out, pool.g_hops[pi],
+                    (pool.flags[pi] & PacketPool::kPhase0) != 0);
+  return std::min<VcIndex>(cls, class_vcs(topo, out) - 1);
 }
 
 void Simulator::apply_global_misroute(PacketPool& pool, std::int32_t packet,
@@ -588,15 +591,17 @@ void Simulator::apply_global_misroute(PacketPool& pool, std::int32_t packet,
   pool.via_port[pi] = static_cast<std::int16_t>(cand.via_port);
 }
 
-void Simulator::decide_injection(Shard& sh, RouterId r, std::int32_t packet) {
+template <class Topo>
+void Simulator::decide_injection(Shard& sh, const Topo& topo, RouterId r,
+                                 std::int32_t packet) {
   const auto pi = static_cast<std::size_t>(packet);
   PacketPool& pool = sh.pool;
   pool.flags[pi] |= PacketPool::kRouted;
   const NodeId d = pool.dst[pi];
-  pool.target_router[pi] = topo_.router_of_node(d);
+  pool.target_router[pi] = topo.router_of_node(d);
 
   if (!inject_decides_ || (pool.flags[pi] & PacketPool::kInorder)) return;
-  if (topo_.min_channel(r, d) < 0) return;  // no nonminimal option applies
+  if (topo.min_channel(r, d) < 0) return;  // no nonminimal option applies
 
   const routing::Decision dec =
       routing_->decide_injection(sh.rng, now_, sh.index, r, d);
@@ -606,7 +611,9 @@ void Simulator::decide_injection(Shard& sh, RouterId r, std::int32_t packet) {
   }
 }
 
-void Simulator::maybe_transit_misroute(Shard& sh, RouterId r, std::int32_t q,
+template <class Topo>
+void Simulator::maybe_transit_misroute(Shard& sh, const Topo& topo,
+                                       RouterId r, std::int32_t q,
                                        std::int32_t packet) {
   // In-transit mechanisms re-decide at injection and wherever the
   // topology's in-transit policy still allows it, so backlogged
@@ -616,32 +623,34 @@ void Simulator::maybe_transit_misroute(Shard& sh, RouterId r, std::int32_t q,
   PacketPool& pool = sh.pool;
   const std::uint8_t flags = pool.flags[pi];
   if (flags & (PacketPool::kMisGlobal | PacketPool::kInorder)) return;
-  if (!topo_.can_misroute_in_transit(
-          r, topo_.router_of_node(pool.src[pi]), pool.g_hops[pi])) {
+  if (!topo.can_misroute_in_transit(
+          r, topo.router_of_node(pool.src[pi]), pool.g_hops[pi])) {
     return;
   }
   const NodeId d = pool.dst[pi];
-  const std::int32_t min_ch = topo_.min_channel(r, d);
+  const std::int32_t min_ch = topo.min_channel(r, d);
   if (min_ch < 0) return;
 
-  const PortIndex mp = topo_.minimal_output(r, d);
+  const PortIndex mp = topo.minimal_output(r, d);
   const routing::Decision dec = routing_->decide_transit(
       sh.rng, sh.index, r, d, pool.g_hops[pi], mp, min_ch);
   if (!dec.misroute) return;
   apply_global_misroute(pool, packet, dec.cand);
   q_request_[static_cast<std::size_t>(q)] =
-      static_cast<std::int16_t>(routed_output(pool, r, packet));
+      static_cast<std::int16_t>(routed_output(topo, pool, r, packet));
   if (telemetry_on_ || trace_on_) {
     note_misroute(r, packet,
-                  r == topo_.router_of_node(pool.src[pi])
+                  r == topo.router_of_node(pool.src[pi])
                       ? telemetry::MisrouteCause::kTrigger
                       : telemetry::MisrouteCause::kInTransit);
   }
 }
 
-void Simulator::maybe_local_detour(Shard& sh, RouterId r, std::int32_t q) {
+template <class Topo>
+void Simulator::maybe_local_detour(Shard& sh, const Topo& topo, RouterId r,
+                                   std::int32_t q) {
   if (!params_.routing.allow_local_misroute || !transit_decides_) return;
-  const std::int32_t locals = topo_.local_detour_ports(r);
+  const std::int32_t locals = topo.local_detour_ports(r);
   const auto qi = static_cast<std::size_t>(q);
   const PortIndex rp = q_request_[qi];
   if (rp < 0 || rp >= locals) return;  // detour-eligible hops only
@@ -662,7 +671,7 @@ void Simulator::maybe_local_detour(Shard& sh, RouterId r, std::int32_t q) {
     if (fault_on_ && !health_.link_up(r, ap)) continue;
     const std::size_t flat = static_cast<std::size_t>(flat_port(r, ap));
     if (out_busy_until_[flat] > now_) continue;
-    if (q_free_[credit_index(flat, vc_for(pool, r, ap, packet))] <= 1) {
+    if (q_free_[credit_index(flat, vc_for(topo, pool, r, ap, packet))] <= 1) {
       continue;  // require slack so detours do not fill the last slot
     }
     q_request_[qi] = static_cast<std::int16_t>(ap);
@@ -700,7 +709,8 @@ void Simulator::ring_insert(Shard& sh, std::size_t flat,
   if (ring.count++ == 0) wheel_mark(sh, flat, ev.arrival, true);
 }
 
-void Simulator::deliver_arrivals(Shard& sh) {
+template <class Topo>
+void Simulator::deliver_arrivals(Shard& sh, const Topo& topo) {
   // Per-link FIFO rings: arrivals on a link are strictly increasing and
   // spaced >= psize cycles, so only the front entry can be due, and it is
   // due exactly when its bit sits in this cycle's bucket (every front lies
@@ -735,13 +745,14 @@ void Simulator::deliver_arrivals(Shard& sh) {
               telemetry::TraceEvent::kLinkArrive,
               static_cast<std::uint8_t>((ev.down_queue / vmax_) % radix_));
         }
-        push_queue(sh, ev.down_queue, ev.packet);
+        push_queue(sh, topo, ev.down_queue, ev.packet);
       }
     }
   }
 }
 
-void Simulator::inject_traffic(Shard& sh) {
+template <class Topo>
+void Simulator::inject_traffic(Shard& sh, const Topo& topo) {
   // All pattern logic lives in the traffic model (pre-resolved tables, own
   // RNG); the engine just places whatever the model emits. Each shard's
   // model instance is restricted to the shard's terminals.
@@ -753,7 +764,7 @@ void Simulator::inject_traffic(Shard& sh) {
     ++sh.metrics.generated;
     ++sh.totals.generated;
 
-    const RouterId r = topo_.router_of_node(inj.src);
+    const RouterId r = topo.router_of_node(inj.src);
     if (throttle_on_ && !routing_->admit_injection(now_, r, inj.dst)) {
       // Source throttle (ARN variant): same accounting as a full queue.
       ++sh.metrics.refused;
@@ -761,7 +772,7 @@ void Simulator::inject_traffic(Shard& sh) {
       if (telemetry_on_) sink_.count_refusal(r);
       continue;
     }
-    const PortIndex ip = fwd_ + (inj.src % topo_.concentration());
+    const PortIndex ip = fwd_ + (inj.src % topo.concentration());
     const std::int32_t q = queue_index(r, ip, 0);
     if (q_free_[static_cast<std::size_t>(q)] <= 0) {
       ++sh.metrics.refused;
@@ -781,11 +792,12 @@ void Simulator::inject_traffic(Shard& sh) {
       sh.pool.flags[static_cast<std::size_t>(packet)] |= PacketPool::kInorder;
     }
     --q_free_[static_cast<std::size_t>(q)];
-    push_queue(sh, q, packet);
+    push_queue(sh, topo, q, packet);
   }
 }
 
-void Simulator::route_and_allocate(Shard& sh) {
+template <class Topo>
+void Simulator::route_and_allocate(Shard& sh, const Topo& topo) {
   // Active-set walk: routers with any occupied queue, then that router's
   // occupied queues in ascending (port, vc) bit order — exactly the dense
   // triple loop's visit order over non-empty queues, so head-wait
@@ -821,8 +833,8 @@ void Simulator::route_and_allocate(Shard& sh) {
             // global misrouting and consider an opportunistic local detour.
             const std::int32_t packet = slab_[static_cast<std::size_t>(
                 q_offset_[qi] + q_head_[qi])];
-            maybe_transit_misroute(sh, r, q, packet);
-            maybe_local_detour(sh, r, q);
+            maybe_transit_misroute(sh, topo, r, q, packet);
+            maybe_local_detour(sh, topo, r, q);
           }
           q_wait_[qi] = advance_head_wait(q_wait_[qi]);
 
@@ -836,7 +848,7 @@ void Simulator::route_and_allocate(Shard& sh) {
             // adaptive mechanisms divert the packet.
             const std::int32_t packet = slab_[static_cast<std::size_t>(
                 q_offset_[qi] + q_head_[qi])];
-            out = routed_output(sh.pool, r, packet);
+            out = routed_output(topo, sh.pool, r, packet);
             q_request_[qi] = static_cast<std::int16_t>(out);
             if (out < 0) continue;
           }
@@ -845,8 +857,8 @@ void Simulator::route_and_allocate(Shard& sh) {
           if (out < fwd_) {
             const std::int32_t packet = slab_[static_cast<std::size_t>(
                 q_offset_[qi] + q_head_[qi])];
-            if (q_free_[credit_index(flat, vc_for(sh.pool, r, out, packet))] <=
-                0) {
+            if (q_free_[credit_index(
+                    flat, vc_for(topo, sh.pool, r, out, packet))] <= 0) {
               if (telemetry_on_) sink_.count_credit_stall(r);
               continue;
             }
@@ -860,18 +872,20 @@ void Simulator::route_and_allocate(Shard& sh) {
       for (const AllocGrant& grant :
            allocators_[static_cast<std::size_t>(r)].allocate(
                sh.request_batch, params_.router.speedup)) {
-        depart(sh, r, grant);
+        depart(sh, topo, r, grant);
       }
     }
   }
 }
 
-void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
+template <class Topo>
+void Simulator::depart(Shard& sh, const Topo& topo, RouterId r,
+                       const AllocGrant& grant) {
   const std::int32_t q = queue_index(r, grant.in, grant.vc);
   const auto qi = static_cast<std::size_t>(q);
   const std::int16_t counted = q_counted_[qi];
   const std::int32_t packet =
-      pop_queue(sh, q, flat_port(r, grant.in), grant.vc);
+      pop_queue(sh, topo, q, flat_port(r, grant.in), grant.vc);
   routing_->on_tail_departure(flat_port(r, counted));
 
   const PortIndex out = grant.out;
@@ -910,19 +924,20 @@ void Simulator::depart(Shard& sh, RouterId r, const AllocGrant& grant) {
     tracer_.record_hop(now_, packet, r, telemetry::TraceEvent::kLinkDepart,
                        static_cast<std::uint8_t>(out));
   }
-  const VcIndex vcn = vc_for(pool, r, out, packet);  // pre-transition state
+  // The VC for the packet's pre-transition state.
+  const VcIndex vcn = vc_for(topo, pool, r, out, packet);
   const std::int32_t down_in = down_port_[flat];
   const std::int32_t down = down_in * vmax_ + vcn;
   --q_free_[credit_index(flat, vcn)];
 
-  const HopTransition hop = topo_.on_hop(r, out, pool.g_hops[pi]);
+  const HopTransition hop = topo.on_hop(r, out, pool.g_hops[pi]);
   pool.g_hops[pi] = hop.vc_state;
   if (hop.reset_detour) {
     pool.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kDetoured);
   }
   if (hop.end_phase0 && (pool.flags[pi] & PacketPool::kPhase0)) {
     pool.flags[pi] &= static_cast<std::uint8_t>(~PacketPool::kPhase0);
-    pool.target_router[pi] = topo_.router_of_node(pool.dst[pi]);
+    pool.target_router[pi] = topo.router_of_node(pool.dst[pi]);
   }
 
   Cycle arrival = now_ + link_delay_[flat];
@@ -1114,7 +1129,8 @@ bool Simulator::monitor_update_due() const {
   return period > 0 && now_ % period == 0;
 }
 
-void Simulator::cycle(Shard& sh) {
+template <class Topo>
+void Simulator::cycle(Shard& sh, const Topo& topo) {
   using telemetry::Phase;
   if (profile_on_) sh.profiler.start_cycle();
   // Phase schedule for this cycle, published with now_ by the previous
@@ -1149,9 +1165,9 @@ void Simulator::cycle(Shard& sh) {
     barrier_->arrive_and_wait();  // occ_snap_ published
     profile_lap(sh, Phase::kBarrier);
   }
-  deliver_arrivals(sh);
+  deliver_arrivals(sh, topo);
   profile_lap(sh, Phase::kDeliver);
-  inject_traffic(sh);
+  inject_traffic(sh, topo);
   profile_lap(sh, Phase::kInject);
   if (mech_cycle) {
     // Mechanism update window: counters stop changing at the first barrier,
@@ -1163,7 +1179,7 @@ void Simulator::cycle(Shard& sh) {
     barrier_->arrive_and_wait();
     profile_lap(sh, Phase::kBarrier);
   }
-  route_and_allocate(sh);
+  route_and_allocate(sh, topo);
   profile_lap(sh, Phase::kRoute);
   // Telemetry runs with one shard only (constructor check), so the flush
   // reads the whole network without a barrier.
@@ -1211,10 +1227,18 @@ void Simulator::worker_loop(std::int32_t shard_index) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(jitter * shard_index));
     }
-    for (Cycle i = 0; i < cycles; ++i) cycle(sh);
+    run_cycles(sh, cycles);
     std::lock_guard<std::mutex> lock(mu_);
     if (++done_count_ == n_shards_ - 1) cv_.notify_all();
   }
+}
+
+void Simulator::run_cycles(Shard& sh, Cycle cycles) {
+  // One dispatch per run() call and shard: the whole loop runs on the
+  // concrete topology class, so no topology call inside it is virtual.
+  visit_topology(params_.topology, topo_, [&](const auto& topo) {
+    for (Cycle i = 0; i < cycles; ++i) cycle(sh, topo);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1233,8 +1257,7 @@ void Simulator::run(Cycle cycles) {
     }
     cv_.notify_all();
   }
-  Shard& sh = shards_[0];
-  for (Cycle i = 0; i < cycles; ++i) cycle(sh);
+  run_cycles(shards_[0], cycles);
   if (!workers_.empty()) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return done_count_ == n_shards_ - 1; });
@@ -1346,6 +1369,14 @@ const std::vector<Simulator::Delivery>& Simulator::delivery_log() const {
                               sh.deliveries.end());
   }
   return merged_deliveries_;
+}
+
+std::int64_t Simulator::logged_deliveries() const {
+  std::int64_t n = 0;
+  for (const Shard& sh : shards_) {
+    n += static_cast<std::int64_t>(sh.deliveries.size());
+  }
+  return n;
 }
 
 double Simulator::throughput() const {

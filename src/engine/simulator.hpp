@@ -6,7 +6,9 @@
 // nonminimal-candidate machinery; the routing mechanism (src/routing/) owns
 // every misrouting decision and the state behind it (contention counters,
 // triggers, the ECtN snapshot), reading engine state only through the
-// routing::EngineProbe surface this class implements.
+// routing::EngineProbe surface this class implements. The cycle loop is
+// compiled once per topology class: run() picks the concrete class once
+// per dispatch, and every phase below it calls that class directly.
 //
 // Model summary
 //  - Packet granularity, virtual cut-through-ish: a packet occupies its link
@@ -142,8 +144,6 @@ class Simulator : private routing::EngineProbe {
 
   /// Builds the topology `params.topology` selects via topo/factory.hpp.
   explicit Simulator(const SimParams& params);
-  /// Runs on a caller-provided topology (tests, custom instances).
-  Simulator(const SimParams& params, std::unique_ptr<const Topology> topology);
   ~Simulator();
 
   Simulator(const Simulator&) = delete;
@@ -227,6 +227,8 @@ class Simulator : private routing::EngineProbe {
       Cycle birth_lo = std::numeric_limits<Cycle>::min(),
       Cycle birth_hi = std::numeric_limits<Cycle>::max());
   [[nodiscard]] const std::vector<Delivery>& delivery_log() const;
+  /// delivery_log().size() without merging the shards' logs.
+  [[nodiscard]] std::int64_t logged_deliveries() const;
 
   /// Live ECtN broadcast-overhead measurement (Section VI-B ablation).
   /// Requires a topology with supports_ectn() and engine.threads = 1.
@@ -389,14 +391,20 @@ class Simulator : private routing::EngineProbe {
   /// returned, counted as dropped) and clears the purged rings' wheel bits.
   void purge_faulted_rings(Shard& sh);
 
-  // --- per-cycle phases
-  void deliver_arrivals(Shard& sh);
-  void inject_traffic(Shard& sh);
+  // --- per-cycle phases. The cycle and every helper it reaches that asks
+  // the topology anything are templates on the topology's concrete `final`
+  // class (`Topo`, picked once per dispatch by run_cycles), so those calls
+  // bind statically and inline; `topo` is topo_ cast to that class.
+  template <class Topo>
+  void deliver_arrivals(Shard& sh, const Topo& topo);
+  template <class Topo>
+  void inject_traffic(Shard& sh, const Topo& topo);
   /// Idle step of the end-of-cycle barrier: draws a slice of this shard's
   /// next undrawn traffic cycle. Touches only the shard's own traffic model
   /// and profiler; returns whether it drew.
   bool draw_traffic_ahead(Shard& sh);
-  void route_and_allocate(Shard& sh);
+  template <class Topo>
+  void route_and_allocate(Shard& sh, const Topo& topo);
   /// Mechanism update window plus (when enabled) the ECtN overhead-monitor
   /// scan and the telemetry update count, for this shard's router range.
   void update_mechanism(Shard& sh);
@@ -406,15 +414,19 @@ class Simulator : private routing::EngineProbe {
                                          VcIndex vc) const {
     return (r * radix_ + in_port) * vmax_ + vc;
   }
-  void push_queue(Shard& sh, std::int32_t q, std::int32_t packet);
+  template <class Topo>
+  void push_queue(Shard& sh, const Topo& topo, std::int32_t q,
+                  std::int32_t packet);
   /// Pops the head of queue `q` (flat input port `port` = r * radix + ip,
   /// VC `vc`) and returns its credit upstream.
-  std::int32_t pop_queue(Shard& sh, std::int32_t q, std::int32_t port,
-                         VcIndex vc);
+  template <class Topo>
+  std::int32_t pop_queue(Shard& sh, const Topo& topo, std::int32_t q,
+                         std::int32_t port, VcIndex vc);
   /// One freed slot of input port `port`, VC `vc`, goes back to the credit
   /// counter's owner: in place, or through the owner's inbox.
   void return_credit(Shard& sh, std::int32_t port, VcIndex vc);
-  void on_new_head(Shard& sh, std::int32_t q);
+  template <class Topo>
+  void on_new_head(Shard& sh, const Topo& topo, std::int32_t q);
 
   // --- active-set maintenance (queue occupancy bits + link timing wheel)
   void activate_queue(Shard& sh, std::int32_t q);
@@ -434,8 +446,12 @@ class Simulator : private routing::EngineProbe {
 
   // --- cycle loop (every shard count; threads = 1 is shard 0 alone)
   void worker_loop(std::int32_t shard_index);
+  /// Runs `cycles` cycles of shard `sh`: picks the concrete topology class
+  /// once (visit_topology) and loops cycle() on it.
+  void run_cycles(Shard& sh, Cycle cycles);
   /// One cycle of shard `sh`, barrier-aligned with every other shard.
-  void cycle(Shard& sh);
+  template <class Topo>
+  void cycle(Shard& sh, const Topo& topo);
   /// Sets the next cycle's phase schedule (fault_cycle_, mech_cycle_) from
   /// now_: a pure function of shared immutable config plus now_, so every
   /// shard agrees on the barrier schedule.
@@ -484,17 +500,26 @@ class Simulator : private routing::EngineProbe {
 
   // --- routing
   // (`packet` is an id in `pool`, the pool of the shard holding it.)
-  void decide_injection(Shard& sh, RouterId r, std::int32_t packet);
-  [[nodiscard]] PortIndex route_output(const PacketPool& pool, RouterId r,
+  template <class Topo>
+  void decide_injection(Shard& sh, const Topo& topo, RouterId r,
+                        std::int32_t packet);
+  template <class Topo>
+  [[nodiscard]] PortIndex route_output(const Topo& topo,
+                                       const PacketPool& pool, RouterId r,
                                        std::int32_t packet) const;
   /// route_output plus fault-fallback attribution: when telemetry is on and
   /// the chosen output differs from the healthy-path preference, the
   /// divergence is counted as a kFaultFallback misroute.
-  [[nodiscard]] PortIndex routed_output(const PacketPool& pool, RouterId r,
+  template <class Topo>
+  [[nodiscard]] PortIndex routed_output(const Topo& topo,
+                                        const PacketPool& pool, RouterId r,
                                         std::int32_t packet);
-  void maybe_local_detour(Shard& sh, RouterId r, std::int32_t q);
-  void maybe_transit_misroute(Shard& sh, RouterId r, std::int32_t q,
-                              std::int32_t packet);
+  template <class Topo>
+  void maybe_local_detour(Shard& sh, const Topo& topo, RouterId r,
+                          std::int32_t q);
+  template <class Topo>
+  void maybe_transit_misroute(Shard& sh, const Topo& topo, RouterId r,
+                              std::int32_t q, std::int32_t packet);
   void apply_global_misroute(PacketPool& pool, std::int32_t packet,
                              const NonminCandidate& cand);
 
@@ -517,16 +542,19 @@ class Simulator : private routing::EngineProbe {
                                                  PortIndex out) const override;
   [[nodiscard]] bool fault_overlay() const override { return fault_on_; }
   /// Configured VC count of `out`'s port class.
-  [[nodiscard]] std::int32_t class_vcs(PortIndex out) const {
+  template <class Topo>
+  [[nodiscard]] std::int32_t class_vcs(const Topo& topo, PortIndex out) const {
     if (out >= fwd_) return params_.router.vcs_injection;
-    return topo_.port_class(out) == PortClass::kLocalClass
+    return topo.port_class(out) == PortClass::kLocalClass
                ? params_.router.vcs_local
                : params_.router.vcs_global;
   }
   /// Downstream VC for `packet` taking `out` at `r`: the topology's VC
   /// class clamped to the port class's configured VC count.
-  [[nodiscard]] VcIndex vc_for(const PacketPool& pool, RouterId r,
-                               PortIndex out, std::int32_t packet) const;
+  template <class Topo>
+  [[nodiscard]] VcIndex vc_for(const Topo& topo, const PacketPool& pool,
+                               RouterId r, PortIndex out,
+                               std::int32_t packet) const;
   /// HopEstimate in cycles under this run's link latencies.
   [[nodiscard]] Cycle hops_to_latency(const HopEstimate& est) const {
     return static_cast<Cycle>(est.local_hops) * params_.link.local_latency +
@@ -541,13 +569,15 @@ class Simulator : private routing::EngineProbe {
            static_cast<std::size_t>(vc);
   }
 
-  void depart(Shard& sh, RouterId r, const AllocGrant& grant);
+  template <class Topo>
+  void depart(Shard& sh, const Topo& topo, RouterId r,
+              const AllocGrant& grant);
   void deliver(Shard& sh, RouterId r, std::int32_t packet);
 
   // --- immutable shape (topo_owner_ must precede every member that reads
   // the topology during construction)
   SimParams params_;
-  std::unique_ptr<const Topology> topo_owner_;
+  std::unique_ptr<Topology> topo_owner_;  // make_topology(params_)
   const Topology& topo_;
   std::int32_t radix_ = 0;      // input/output ports per router
   std::int32_t fwd_ = 0;        // forward (link) ports per router

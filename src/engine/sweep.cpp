@@ -1,8 +1,10 @@
 #include "engine/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "util/cli.hpp"
@@ -44,23 +46,34 @@ void parallel_for(std::size_t n, int threads,
   if (error) std::rethrow_exception(error);
 }
 
-std::vector<SteadyResult> run_sweep(const std::vector<SweepPoint>& points,
-                                    int threads) {
-  std::vector<SteadyResult> results(points.size());
-  if (points.empty()) return results;
-
+int pool_threads(int threads, std::size_t jobs) {
   if (threads <= 0) {
     threads = static_cast<int>(
         CliOptions::env_int("DFSIM_THREADS",
                             static_cast<std::int64_t>(
                                 std::thread::hardware_concurrency())));
   }
-  if (threads < 1) threads = 1;
-  threads = std::min<int>(threads, static_cast<int>(points.size()));
+  return static_cast<int>(std::clamp<std::int64_t>(
+      threads, 1, std::max<std::int64_t>(1, static_cast<std::int64_t>(jobs))));
+}
 
-  parallel_for(points.size(), threads, [&](std::size_t i) {
-    results[i] = run_steady(points[i].params, points[i].options);
-  });
+std::vector<SteadyResult> run_sweep(const std::vector<SweepPoint>& points,
+                                    int threads) {
+  std::vector<SteadyResult> results(points.size());
+  if (points.empty()) return results;
+
+  std::vector<std::size_t> order(points.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return points[a].params.traffic.load >
+                            points[b].params.traffic.load;
+                   });
+  parallel_for(points.size(), pool_threads(threads, points.size()),
+               [&](std::size_t k) {
+                 const SweepPoint& pt = points[order[k]];
+                 results[order[k]] = run_steady(pt.params, pt.options);
+               });
   return results;
 }
 

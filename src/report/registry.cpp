@@ -212,7 +212,7 @@ ExperimentRun switch_figure(SwitchFigure fig) {
     doc.panels.push_back(run_transient_panel(
         fig.panel,
         mechanism_transient_series(ctx.base, ctx.lineup_or(fig.lineup)),
-        topt, fig.step, fig.window));
+        topt, fig.step, fig.window, ctx.threads));
   };
 }
 
@@ -276,6 +276,7 @@ void run_ablation_radix_range(RunContext& ctx, ResultsDoc& doc) {
   for (const auto& [preset, label] : radixes) {
     SimParams base = presets::by_name(preset);
     base.seed = ctx.base.seed;
+    base.engine = ctx.base.engine;
 
     std::vector<GridTick> ticks;
     for (const std::int32_t th : thresholds) {
@@ -565,7 +566,8 @@ void run_ablation_fbfly_transient(RunContext& ctx, ResultsDoc& doc) {
   const TransientOptions topt = switch_options(
       ctx, doc, TrafficParams{}, TrafficKind::kAdversarial, 0.3, 25, 350, 3);
   doc.panels.push_back(run_transient_panel("UN->ADJ@0.3", series, topt,
-                                           /*step=*/25, /*window=*/25));
+                                           /*step=*/25, /*window=*/25,
+                                           ctx.threads));
 }
 
 void run_ablation_torus(RunContext& ctx, ResultsDoc& doc) {
@@ -641,7 +643,7 @@ void run_fault_transient(RunContext& ctx, ResultsDoc& doc) {
       "UN@0.3 global faults at t=0",
       mechanism_transient_series(faulty,
                                  ctx.lineup_or({kCbBase, kOlm, kPiggyback})),
-      topt, /*step=*/10, /*window=*/10));
+      topt, /*step=*/10, /*window=*/10, ctx.threads));
 }
 
 // -------------------------------------------------------------------------
@@ -663,7 +665,8 @@ void run_notification_transient(RunContext& ctx, ResultsDoc& doc) {
   arn.notify.throttle_injection = true;
   series.push_back(TransientSeries{"ARN+thr", arn});
   doc.panels.push_back(run_transient_panel("UN->ADV+1@0.2", series, topt,
-                                           /*step=*/10, /*window=*/10));
+                                           /*step=*/10, /*window=*/10,
+                                           ctx.threads));
 
   // Steady ADV+1 panel for the throughput gates: VAL is the 0.5-bound
   // reference the notification family must not fall under at saturating
@@ -783,7 +786,8 @@ void run_congestion_map(RunContext& ctx, ResultsDoc& doc) {
 // -------------------------------------------------------------------------
 // Table I
 
-void run_table1(RunContext& /*ctx*/, ResultsDoc& doc) {
+void run_table1(RunContext& ctx, ResultsDoc& doc) {
+  ctx.base.engine.threads = 1;  // simulates nothing
   const SimParams presets_list[4] = {presets::paper(), presets::medium(),
                                      presets::small(), presets::tiny()};
 

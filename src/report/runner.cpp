@@ -1,6 +1,8 @@
 #include "report/runner.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <mutex>
 #include <utility>
 
 #include "engine/sweep.hpp"
@@ -119,15 +121,23 @@ Panel run_load_grid(const std::string& name, const SimParams& base,
 Panel run_transient_panel(const std::string& name,
                           const std::vector<TransientSeries>& series,
                           const TransientOptions& options, Cycle step,
-                          Cycle window) {
+                          Cycle window, int threads) {
   std::vector<TransientResult> results(series.size(),
                                        TransientResult(options.pre, options.post));
-  // One thread per series: each run_transient is single-threaded and the
-  // series count is small (<= 6), so this mirrors the sweep fan-out.
-  parallel_for(series.size(), static_cast<int>(series.size()),
-               [&](std::size_t i) {
-                 results[i] = run_transient(series[i].params, options);
-               });
+  // One job per (series, rep), series-major. A finished rep is merged into
+  // its series at once, so a worker holds at most one rep's result; merged
+  // values are counts and whole-number sums, so the order reps finish in
+  // cannot change a bit.
+  const auto reps = static_cast<std::size_t>(std::max(1, options.reps));
+  const std::size_t jobs = series.size() * reps;
+  std::mutex merge_mutex;
+  parallel_for(jobs, pool_threads(threads, jobs), [&](std::size_t job) {
+    const std::size_t si = job / reps;
+    const TransientResult rep = run_transient_rep(
+        series[si].params, options, static_cast<std::int32_t>(job % reps));
+    const std::lock_guard<std::mutex> lock(merge_mutex);
+    results[si].merge(rep);
+  });
 
   Panel panel;
   panel.name = name;

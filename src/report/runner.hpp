@@ -114,12 +114,14 @@ struct TransientSeries {
   SimParams params;
 };
 
-/// Runs every series (parallel across series, reps inside run_transient) and
-/// samples latency/misrouted_pct at `step`-spaced cycles with a `window`-
-/// cycle smoothing window, as the paper's transient figures do.
+/// Runs every (series, rep) pair as one job on a pool of
+/// pool_threads(threads, jobs) workers, merging each rep into its series as
+/// it finishes, and samples latency/misrouted_pct at `step`-spaced cycles
+/// with a `window`-cycle smoothing window, as the paper's transient figures
+/// do.
 [[nodiscard]] Panel run_transient_panel(
     const std::string& name, const std::vector<TransientSeries>& series,
-    const TransientOptions& options, Cycle step, Cycle window);
+    const TransientOptions& options, Cycle step, Cycle window, int threads);
 
 /// Formats a double with fixed decimals (tick labels, notes).
 [[nodiscard]] std::string format_fixed(double v, int precision);

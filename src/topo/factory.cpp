@@ -1,9 +1,5 @@
 #include "topo/factory.hpp"
 
-#include "fbfly/fb_topology.hpp"
-#include "topo/dragonfly.hpp"
-#include "topo/torus.hpp"
-
 namespace dfsim {
 
 std::unique_ptr<Topology> make_topology(const SimParams& params) {

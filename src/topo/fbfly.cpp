@@ -1,4 +1,4 @@
-#include "fbfly/fb_topology.hpp"
+#include "topo/fbfly.hpp"
 
 #include <stdexcept>
 

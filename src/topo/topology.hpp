@@ -18,13 +18,14 @@
 // intermediates); the engine handles that case when the packet is enqueued.
 //
 // Dispatch cost model: the shape accessors (routers/nodes/radix/
-// router_of_node) are non-virtual; minimal_output/peer/vc_class ARE virtual
-// and called per head event / departure, but each implementation is a flat
-// table load or closed-form coordinate math, and the engine amortizes them
-// against queue and allocator work (simulator-cycle micro benches are
-// unchanged vs the pre-interface engine). The candidate-sampling / UGAL /
-// probe hooks sit behind RNG draws and occupancy scans, off the per-cycle
-// inner loop.
+// router_of_node) are non-virtual. The engine's cycle loop does not call
+// the virtual interface: it runs on the concrete `final` class, picked once
+// per dispatch (visit_topology in topo/factory.hpp), so per-head-event and
+// per-departure calls such as minimal_output, vc_class and on_hop bind
+// statically and inline where the class defines them in its header.
+// Everything else (setup, the routing mechanisms' candidate-sampling /
+// UGAL / probe hooks behind RNG draws and occupancy scans) goes through the
+// vtable.
 #pragma once
 
 #include <cstdint>

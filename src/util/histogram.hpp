@@ -80,6 +80,9 @@ class LatencyHistogram {
     overflow_ += other.overflow_;
   }
 
+  friend bool operator==(const LatencyHistogram&,
+                         const LatencyHistogram&) = default;
+
  private:
   std::array<std::int64_t, kBuckets> buckets_{};
   std::int64_t total_ = 0;

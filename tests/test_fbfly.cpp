@@ -7,7 +7,7 @@
 #include <cstdlib>
 
 #include "engine/simulator.hpp"
-#include "fbfly/fb_topology.hpp"
+#include "topo/fbfly.hpp"
 
 namespace {
 

@@ -7,7 +7,10 @@
 #include <initializer_list>
 #include <iostream>
 #include <limits>
+#include <mutex>
+#include <set>
 #include <sstream>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -15,6 +18,7 @@
 #include "report/parity.hpp"
 #include "report/registry.hpp"
 #include "report/render.hpp"
+#include "report/runner.hpp"
 #include "report/schema.hpp"
 #include "sim/config_io.hpp"
 
@@ -410,12 +414,13 @@ RunContext short_tiny_context(std::int32_t engine_threads) {
 }
 
 void test_companion_engine_threads() {
-  // The companion-topology experiments swap in the fbfly/torus preset but
-  // keep engine.threads: the header reports the shard count, and the
-  // panels differ from the serial run's (a different deterministic
-  // simulation), so every series really ran sharded.
-  for (const char* name :
-       {"ablation_fbfly", "ablation_fbfly_transient", "ablation_torus"}) {
+  // The experiments that build their base from another preset (the
+  // fbfly/torus companions, the radix sweep's per-radix presets) keep
+  // engine.threads: the header reports the shard count, and the panels
+  // differ from the serial run's (a different deterministic simulation),
+  // so every series really ran sharded.
+  for (const char* name : {"ablation_fbfly", "ablation_fbfly_transient",
+                           "ablation_torus", "ablation_radix_range"}) {
     const ExperimentSpec& spec = *find_experiment(name);
     const ResultsDoc serial = run_experiment(spec, short_tiny_context(1));
     const ResultsDoc sharded = run_experiment(spec, short_tiny_context(2));
@@ -432,7 +437,52 @@ void test_companion_engine_threads() {
       assert(panel_json(sharded.panels[i]) != panel_json(serial.panels[i]));
     }
   }
+  // table1 simulates nothing: a sharded request is the serial document.
+  const ExperimentSpec& table1 = *find_experiment("table1");
+  assert(to_json(run_experiment(table1, short_tiny_context(2))).dump() ==
+         to_json(run_experiment(table1, short_tiny_context(1))).dump());
   std::cout << "companion engine.threads ok\n";
+}
+
+void test_transient_panel_threads() {
+  // A transient panel runs one job per (series, rep) on the context's pool:
+  // at threads = 1 every rep runs on the calling thread, and the panel is
+  // the same at every pool size (reps merge order-free).
+  std::vector<TransientSeries> series;
+  for (const RoutingKind kind : {RoutingKind::kCbBase, RoutingKind::kOlm}) {
+    SimParams p = presets::tiny();
+    p.routing.kind = kind;
+    series.push_back(TransientSeries{to_string(kind), p});
+  }
+  TransientOptions topt;
+  topt.before.kind = TrafficKind::kUniform;
+  topt.before.load = 0.2;
+  topt.after = topt.before;
+  topt.after.kind = TrafficKind::kAdversarial;
+  topt.after.adv_offset = 1;
+  topt.warmup = 200;
+  topt.pre = 20;
+  topt.post = 60;
+  topt.reps = 3;
+  std::mutex mu;
+  std::set<std::thread::id> workers;
+  topt.heartbeat = [&](Cycle, std::int64_t, double) {
+    const std::lock_guard<std::mutex> lock(mu);
+    workers.insert(std::this_thread::get_id());
+  };
+  const auto panel_json = [](const Panel& panel) {
+    ResultsDoc one;
+    one.panels.push_back(panel);
+    return to_json(one).dump();
+  };
+  const std::string serial =
+      panel_json(run_transient_panel("p", series, topt, 10, 10, 1));
+  assert(workers == std::set<std::thread::id>{std::this_thread::get_id()});
+  for (const int threads : {2, 4}) {
+    assert(panel_json(run_transient_panel("p", series, topt, 10, 10,
+                                          threads)) == serial);
+  }
+  std::cout << "transient panel pool ok\n";
 }
 
 void test_instrumented_one_shard() {
@@ -474,6 +524,7 @@ int main() {
   test_registry_and_render();
   test_with_ugal_lineup();
   test_companion_engine_threads();
+  test_transient_panel_threads();
   test_instrumented_one_shard();
   std::cout << "test_report: all ok\n";
   return 0;

@@ -46,6 +46,11 @@
 //     threads 1 and 2, a UN -> ADV+1 twin logging only a transient's birth
 //     window matches its full-log twin in every metric, and its log is the
 //     full log filtered to the window, in the same order.
+// (9) The transient drain stops once the logged window is empty: at
+//     threads 1 and 2, drive_transient's log equals the log of the same rep
+//     drained the full kTransientDrain, and it stopped earlier. A fault
+//     onset at the switch that drops window-born packets keeps the log
+//     short of the window's count, and that rep drains in full.
 #include <algorithm>
 #include <bit>
 #include <cassert>
@@ -164,6 +169,19 @@ RunCapture run_dispatched(std::int32_t threads, RoutingKind kind,
   return capture(sim);
 }
 
+bool same_log(const std::vector<Simulator::Delivery>& a,
+              const std::vector<Simulator::Delivery>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].birth != b[i].birth || a[i].latency != b[i].latency ||
+        a[i].misrouted != b[i].misrouted ||
+        a[i].minimal_path != b[i].minimal_path) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool identical(const RunCapture& a, const RunCapture& b) {
   if (a.metrics.delivered != b.metrics.delivered ||
       a.metrics.delivered_phits != b.metrics.delivered_phits ||
@@ -185,17 +203,7 @@ bool identical(const RunCapture& a, const RunCapture& b) {
       a.totals.undeliverable != b.totals.undeliverable) {
     return false;
   }
-  if (a.in_network != b.in_network) return false;
-  if (a.deliveries.size() != b.deliveries.size()) return false;
-  for (std::size_t i = 0; i < a.deliveries.size(); ++i) {
-    if (a.deliveries[i].birth != b.deliveries[i].birth ||
-        a.deliveries[i].latency != b.deliveries[i].latency ||
-        a.deliveries[i].misrouted != b.deliveries[i].misrouted ||
-        a.deliveries[i].minimal_path != b.deliveries[i].minimal_path) {
-      return false;
-    }
-  }
-  return true;
+  return a.in_network == b.in_network && same_log(a.deliveries, b.deliveries);
 }
 
 // FNV-1a over every captured value in a fixed order: metrics (latency
@@ -290,6 +298,36 @@ RunCapture run_switch(std::int32_t threads, const BirthWindow* window) {
   sim.run(150 + 600);  // post, then a drain that outlives the window
   assert(sim.debug_check_active_state());
   return capture(sim);
+}
+
+// The rep drive_transient runs on `p`, drained the full kTransientDrain,
+// with its log opened at the window's first birth as drive_transient opens
+// it; `born` counts the packets accepted in the window.
+struct FullDrain {
+  std::vector<Simulator::Delivery> log;
+  std::int64_t born = 0;
+  Cycle end = 0;
+};
+
+FullDrain run_full_drain(const SimParams& p, const TransientOptions& o) {
+  Simulator sim(p);
+  const auto accepted = [&sim] {
+    const Simulator::Totals& t = sim.lifetime_totals();
+    return t.generated - t.refused;
+  };
+  sim.run(o.warmup - o.pre);
+  const BirthWindow window = transient_birth_window(o.warmup, o.pre, o.post);
+  sim.enable_delivery_log(window.lo, window.hi);
+  const std::int64_t before = accepted();
+  sim.run(2 * o.pre);
+  sim.set_traffic(o.after);
+  sim.run(o.post);
+  FullDrain full;
+  full.born = accepted() - before;
+  sim.run(kTransientDrain);
+  full.log = sim.delivery_log();
+  full.end = sim.now();
+  return full;
 }
 
 std::string run_doc(std::int32_t threads) {
@@ -499,6 +537,50 @@ int main() {
                    threads, windowed.deliveries.size(), logged_all,
                    full.deliveries.size());
       return EXIT_FAILURE;
+    }
+  }
+
+  // --- (9) the drain stops once the logged window is empty ---------------
+  for (const std::int32_t threads : {1, 2}) {
+    for (const bool fault : {false, true}) {
+      TransientOptions o;
+      o.before.kind = TrafficKind::kUniform;
+      o.before.load = 0.3;
+      o.after = o.before;
+      if (!fault) {
+        o.after.kind = TrafficKind::kAdversarial;
+        o.after.adv_offset = 1;
+      }
+      o.warmup = 400;
+      o.pre = 50;
+      o.post = 150;
+      SimParams p = presets::tiny();
+      p.routing.kind = RoutingKind::kCbBase;
+      p.seed = 31;
+      p.engine.threads = threads;
+      p.traffic = o.before;
+      // A quarter of the global links die at the switch, with packets born
+      // in the window in flight on them.
+      if (fault) p = presets::with_link_faults(p, 0.25, "global", 450);
+      const FullDrain full = run_full_drain(p, o);
+      Simulator sim(p);
+      const TransientRun run = drive_transient(sim, o);
+      const auto logged = static_cast<std::int64_t>(full.log.size());
+      const bool drain_ok = fault ? logged < full.born && sim.now() == full.end
+                                  : logged == full.born && sim.now() < full.end;
+      if (run.timed_out || run.switch_cycle != o.warmup + o.pre ||
+          !same_log(sim.delivery_log(), full.log) || !drain_ok) {
+        std::fprintf(stderr,
+                     "transient drain at threads %d%s: stopped at %lld (full "
+                     "drain %lld), %zu records (full drain %lld, born %lld)\n",
+                     threads, fault ? " with a fault onset" : "",
+                     static_cast<long long>(sim.now()),
+                     static_cast<long long>(full.end),
+                     sim.delivery_log().size(),
+                     static_cast<long long>(logged),
+                     static_cast<long long>(full.born));
+        return EXIT_FAILURE;
+      }
     }
   }
 

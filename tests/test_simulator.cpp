@@ -1,12 +1,14 @@
 // End-to-end simulator sanity at tiny scale: conservation, routing-mechanism
 // invariants (MIN never misroutes, VAL always does), throughput under light
-// load, adversarial behavior ordering, the transient driver, and up-front
-// rejection of port classes configured with no VC.
+// load, adversarial behavior ordering, transient experiments and their rep
+// merge, the sweep's hand-out order, and up-front rejection of port classes
+// configured with no VC.
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "engine/experiment.hpp"
 #include "engine/simulator.hpp"
@@ -109,6 +111,51 @@ int main() {
     }
   }
 
+  // Reps merge to the same bits in any order: every merged value is a count
+  // or a whole-number sum. run_transient (reps merged in rep order) equals
+  // the reps merged in reverse; merging two results equals recording both
+  // into one; an empty result merges as a no-op.
+  {
+    SimParams p = presets::tiny();
+    p.routing.kind = RoutingKind::kCbBase;
+    TransientOptions topt;
+    topt.before.kind = TrafficKind::kUniform;
+    topt.before.load = 0.2;
+    topt.after = topt.before;
+    topt.after.kind = TrafficKind::kAdversarial;
+    topt.after.adv_offset = 1;
+    topt.warmup = 500;
+    topt.pre = 30;
+    topt.post = 100;
+    topt.reps = 3;
+    const TransientResult all = run_transient(p, topt);
+    TransientResult reversed(topt.pre, topt.post);
+    for (std::int32_t rep = topt.reps - 1; rep >= 0; --rep) {
+      reversed.merge(run_transient_rep(p, topt, rep));
+    }
+    assert(all == reversed);
+    TransientResult first = run_transient_rep(p, topt, 0);
+    assert(!(first == all));
+    const TransientResult copy = first;
+    first.merge(TransientResult(topt.pre, topt.post));
+    assert(first == copy);
+
+    TransientResult a(2, 3);
+    TransientResult b(2, 3);
+    TransientResult both(2, 3);
+    a.record(-2, 5, true);
+    b.record(-2, 7, false);
+    b.record(2, 9, true);
+    b.mark_timed_out();
+    both.record(-2, 5, true);
+    both.record(-2, 7, false);
+    both.record(2, 9, true);
+    both.mark_timed_out();
+    a.merge(b);
+    assert(a == both && a.timed_out());
+    assert(a.latency_at(-2, 1) == 6.0 && a.misrouted_pct_at(2, 1) == 100.0);
+  }
+
   // The transient log's birth window holds every birth TransientResult
   // keeps wherever the switch lands in [start, start + pre]: at start + pre
   // normally, earlier when the watchdog stops the pre run (start itself
@@ -142,6 +189,42 @@ int main() {
     assert(parallel[1].throughput == serial1.throughput);
     assert(parallel[0].latency_avg == serial0.latency_avg);
     assert(parallel[1].latency_avg == serial1.latency_avg);
+  }
+
+  // Points are handed out heaviest first: descending load, input order
+  // among equal loads (here 1, 3, 2, 0). Results still land by index, and
+  // of two invalid points the one handed out first reports, at every worker
+  // count.
+  for (const int threads : {1, 2, 4}) {
+    SteadyOptions opt;
+    opt.warmup = 100;
+    opt.measure = 200;
+    std::vector<SweepPoint> points;
+    for (const double load : {0.1, 0.4, 0.2, 0.4}) {
+      SweepPoint pt{presets::tiny(), opt};
+      pt.params.traffic.load = load;
+      pt.params.seed = points.size() + 1;
+      points.push_back(pt);
+    }
+    const auto results = run_sweep(points, threads);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const SteadyResult serial = run_steady(points[i].params, opt);
+      assert(results[i].generated_load == serial.generated_load);
+      assert(results[i].latency_avg == serial.latency_avg);
+    }
+    apply_param(points[0].params, "router.vcs_injection", "0");
+    apply_param(points[2].params, "router.vcs_global", "0");
+    std::string what;
+    try {
+      (void)run_sweep(points, threads);
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
+    }
+    if (what.find("router.vcs_global") == std::string::npos) {
+      std::fprintf(stderr, "run_sweep hand-out at threads=%d: got '%s'\n",
+                   threads, what.c_str());
+      return EXIT_FAILURE;
+    }
   }
 
   // Multi-rep quantiles come from the POOLED latency histogram, not from

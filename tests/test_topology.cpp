@@ -8,8 +8,8 @@
 #include <cstdlib>
 #include <set>
 
-#include "fbfly/fb_topology.hpp"
 #include "topo/dragonfly.hpp"
+#include "topo/fbfly.hpp"
 #include "topo/torus.hpp"
 
 namespace {

@@ -68,14 +68,13 @@ ALL_CHECKS = ("CHK-RNG", "CHK-GATE", "CHK-ALLOC", "CHK-CONFIG", "CHK-SCHEMA",
 # --- CHK-RNG configuration ---------------------------------------------------
 
 # Directory (under src/) -> RNG stream its draw sites must belong to.
-# engine/routing/topo/fbfly/router/core draw from the simulator's routing
+# engine/routing/topo/router/core draw from the simulator's routing
 # stream (mechanisms and triggers receive it by reference); traffic, fault
 # and trace own theirs.
 STREAM_OF_DIR = {
     "engine": "routing",
     "routing": "routing",
     "topo": "routing",
-    "fbfly": "routing",
     "router": "routing",
     "core": "routing",
     "traffic": "traffic",

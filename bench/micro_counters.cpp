@@ -3,8 +3,8 @@
 // tail-departure updates plus threshold evaluation.
 #include <benchmark/benchmark.h>
 
-#include "core/contention_counters.hpp"
-#include "core/triggers.hpp"
+#include "routing/contention_counters.hpp"
+#include "routing/triggers.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 namespace dfsim {
 
@@ -13,9 +15,6 @@ namespace {
 /// total blackout under a fault schedule) stops early and its result is
 /// flagged timed_out instead of hanging. Deterministic (cycle-based).
 constexpr Cycle kProgressWindow = 50000;
-/// Drain step: the log's record count is checked between steps, so a rep
-/// overshoots its last window-born delivery by under this many cycles.
-constexpr Cycle kDrainChunk = 50;
 
 /// Runs `sim` forward `cycles` cycles in kProgressWindow-sized chunks,
 /// stopping early when no packet has been delivered over a full window while
@@ -49,8 +48,14 @@ bool run_guarded(Simulator& sim, Cycle cycles,
 
 }  // namespace
 
+void check_reps(std::int32_t reps) {
+  if (reps >= 1) return;
+  throw std::invalid_argument("reps must be >= 1, got " + std::to_string(reps));
+}
+
 SteadyResult run_steady(const SimParams& params, const SteadyOptions& options) {
-  const std::int32_t reps = options.reps < 1 ? 1 : options.reps;
+  check_reps(options.reps);
+  const std::int32_t reps = options.reps;
   SteadyResult acc;
   // Tail quantiles are order statistics, not means: averaging per-rep p99s
   // is NOT the p99 of the combined sample (a single congested rep's tail
@@ -240,9 +245,9 @@ TransientResult run_transient_rep(const SimParams& params,
 
 TransientResult run_transient(const SimParams& params,
                               const TransientOptions& options) {
+  check_reps(options.reps);
   TransientResult result(options.pre, options.post);
-  const std::int32_t reps = options.reps < 1 ? 1 : options.reps;
-  for (std::int32_t rep = 0; rep < reps; ++rep) {
+  for (std::int32_t rep = 0; rep < options.reps; ++rep) {
     result.merge(run_transient_rep(params, options, rep));
   }
   return result;

@@ -49,6 +49,9 @@ struct SteadyResult {
   double timed_out = 0.0;          // share of reps stopped by the watchdog
 };
 
+/// Throws std::invalid_argument unless `reps` >= 1.
+void check_reps(std::int32_t reps);
+
 /// Runs warmup + measurement (averaged over `reps` seeds).
 [[nodiscard]] SteadyResult run_steady(const SimParams& params,
                                       const SteadyOptions& options);
@@ -126,6 +129,9 @@ struct BirthWindow {
 /// Cycles a transient simulates past `post`, at most, so late-born packets
 /// still deliver into their birth buckets.
 inline constexpr Cycle kTransientDrain = 2000;
+/// Drain step: the log's record count is checked between steps, so a rep
+/// overshoots its last window-born delivery by under this many cycles.
+inline constexpr Cycle kDrainChunk = 50;
 
 /// How one transient rep ran (drive_transient).
 struct TransientRun {

@@ -7,11 +7,11 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "engine/head_wait.hpp"
 #include "routing/factory.hpp"
+#include "sim/config_io.hpp"
 #include "topo/factory.hpp"
 
 namespace dfsim {
@@ -22,8 +22,10 @@ void Simulator::debug_set_shard_jitter(std::int32_t us) {
   jitter_us_.store(us, std::memory_order_relaxed);
 }
 
+// Library callers reach the engine without dfsim_run's up-front check, so
+// the configuration is validated before anything is built from it.
 Simulator::Simulator(const SimParams& params)
-    : params_(params),
+    : params_((validate(params), params)),
       topo_owner_(make_topology(params)),
       topo_(*topo_owner_) {
   radix_ = topo_.radix();
@@ -31,53 +33,7 @@ Simulator::Simulator(const SimParams& params)
   vmax_ = std::max({params_.router.vcs_local, params_.router.vcs_global,
                     params_.router.vcs_injection});
   psize_ = params_.packet_size_phits;
-
-  if (params_.engine.threads < 1) {
-    throw std::invalid_argument("engine.threads must be >= 1");
-  }
-  // Every shard owns at least one router.
-  if (params_.engine.threads > topo_.routers()) {
-    throw std::invalid_argument("engine.threads must be <= " +
-                                std::to_string(topo_.routers()) +
-                                " (the router count)");
-  }
-  // Nonsense physics is rejected by name instead of running. A class with no
-  // VC would make vc_for() return VC -1; a speedup below 1 runs no allocator
-  // iteration, so nothing ever departs; a packet needs a phit and an
-  // injection slot; delays cannot be negative; and a buffer must hold at
-  // least one packet.
-  for (const auto& [key, value, least] :
-       {std::tuple{"router.vcs_local", params_.router.vcs_local, 1},
-        std::tuple{"router.vcs_global", params_.router.vcs_global, 1},
-        std::tuple{"router.vcs_injection", params_.router.vcs_injection, 1},
-        std::tuple{"router.speedup", params_.router.speedup, 1},
-        std::tuple{"packet_size_phits", psize_, 1},
-        std::tuple{"router.injection_queue_packets",
-                   params_.router.injection_queue_packets, 1},
-        std::tuple{"router.pipeline_cycles", params_.router.pipeline_cycles, 0},
-        std::tuple{"link.local_latency", params_.link.local_latency, 0},
-        std::tuple{"link.global_latency", params_.link.global_latency, 0},
-        std::tuple{"router.buf_local_phits", params_.router.buf_local_phits,
-                   psize_},
-        std::tuple{"router.buf_global_phits", params_.router.buf_global_phits,
-                   psize_}}) {
-    if (value < least) {
-      throw std::invalid_argument(std::string(key) + " must be >= " +
-                                  std::to_string(least));
-    }
-  }
   n_shards_ = params_.engine.threads;
-  if (n_shards_ > 1) {
-    if (params_.telemetry.enabled) {
-      throw std::invalid_argument(
-          "telemetry requires engine.threads = 1 (sink counters are not "
-          "sharded)");
-    }
-    if (params_.trace.enabled) {
-      throw std::invalid_argument(
-          "packet tracing requires engine.threads = 1");
-    }
-  }
 
   if (params_.fault.enabled) {
     // Built before build_layout: ring capacities must cover the extra
@@ -85,7 +41,7 @@ Simulator::Simulator(const SimParams& params)
     fault_on_ = true;
     fault_ = FaultModel(params_.fault, topo_, params_.seed);
     health_.init(topo_.routers(), radix_);
-    hop_cap_ = std::max(1, params_.fault.hop_cap);
+    hop_cap_ = params_.fault.hop_cap;
     fault_next_event_ = params_.fault.onset;
     // Attaching the health overlay is the one mutation of the topology the
     // simulator owns, and only happens when faults are enabled.
@@ -105,8 +61,8 @@ Simulator::Simulator(const SimParams& params)
   if (params_.telemetry.enabled) {
     telemetry_on_ = true;
     sink_.configure(topo_.routers(), radix_, fwd_,
-                    std::max<Cycle>(1, params_.telemetry.sample_period),
-                    std::max<std::int32_t>(1, params_.telemetry.max_samples));
+                    params_.telemetry.sample_period,
+                    params_.telemetry.max_samples);
     // First frame closes at the end of the first sample period.
     telemetry_next_sample_ = sink_.sample_period() - 1;
   }
@@ -1406,6 +1362,9 @@ double Simulator::backlog_per_node() const {
 }
 
 void Simulator::set_traffic(const TrafficParams& traffic) {
+  SimParams next = params_;
+  next.traffic = traffic;
+  validate(next);
   params_.traffic = traffic;
   for (Shard& sh : shards_) sh.traffic->reset_spec(traffic);
 }

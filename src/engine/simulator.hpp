@@ -84,7 +84,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/ectn_state.hpp"
+#include "routing/ectn_state.hpp"
 #include "engine/packet_pool.hpp"
 #include "engine/spin_barrier.hpp"
 #include "fault/fault_model.hpp"
@@ -143,6 +143,8 @@ class Simulator : private routing::EngineProbe {
   };
 
   /// Builds the topology `params.topology` selects via topo/factory.hpp.
+  /// Throws std::invalid_argument naming the key when validate() rejects
+  /// `params`.
   explicit Simulator(const SimParams& params);
   ~Simulator();
 
@@ -155,8 +157,7 @@ class Simulator : private routing::EngineProbe {
   [[nodiscard]] Cycle now() const { return now_; }
   [[nodiscard]] const SimParams& params() const { return params_; }
   [[nodiscard]] const Topology& topology() const { return topo_; }
-  /// Shard count in use: engine.threads (the constructor rejects more
-  /// shards than routers).
+  /// Shard count in use: engine.threads.
   [[nodiscard]] std::int32_t shard_count() const { return n_shards_; }
 
   /// Resets measurement counters; metrics() accumulates from this point.
@@ -197,7 +198,8 @@ class Simulator : private routing::EngineProbe {
   /// Packets waiting in injection queues, per node.
   [[nodiscard]] double backlog_per_node() const;
 
-  /// Swaps the traffic pattern mid-run (transient experiments).
+  /// Swaps the traffic pattern mid-run (transient experiments); a pattern
+  /// validate() rejects throws before anything changes.
   void set_traffic(const TrafficParams& traffic);
   [[nodiscard]] const TrafficModel& traffic_model() const {
     return *shards_[0].traffic;
@@ -240,7 +242,6 @@ class Simulator : private routing::EngineProbe {
   /// Spatial telemetry frames (params.telemetry.enabled): per-router /
   /// per-link counters sampled every telemetry.sample_period cycles. See
   /// src/telemetry/telemetry_sink.hpp and telemetry/heatmap.hpp.
-  [[nodiscard]] bool telemetry_enabled() const { return telemetry_on_; }
   [[nodiscard]] const telemetry::TelemetrySink& telemetry_sink() const {
     return sink_;
   }
@@ -248,7 +249,6 @@ class Simulator : private routing::EngineProbe {
   /// Packet-lifecycle tracing (params.trace.enabled): deterministically
   /// sampled per-packet event records, exported via
   /// telemetry/packet_trace.hpp's binary and Chrome trace-event writers.
-  [[nodiscard]] bool trace_enabled() const { return trace_on_; }
   [[nodiscard]] const telemetry::PacketTracer& packet_tracer() const {
     return tracer_;
   }

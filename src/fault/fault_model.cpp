@@ -1,8 +1,6 @@
 #include "fault/fault_model.hpp"
 
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 #include "util/rng.hpp"
 
@@ -10,21 +8,10 @@ namespace dfsim {
 
 namespace {
 
-void check_fraction(const char* name, double value) {
-  if (value < 0.0 || value > 1.0) {
-    throw std::invalid_argument(std::string("fault: ") + name +
-                                " must be in [0,1], got " +
-                                std::to_string(value));
-  }
-}
-
-/// round(fraction * pool) clamped to [0, pool].
+/// round(fraction * pool), a count in [0, pool] for a fraction in [0, 1].
 std::int32_t count_of(double fraction, std::size_t pool) {
-  const auto n = static_cast<std::int32_t>(
+  return static_cast<std::int32_t>(
       std::llround(fraction * static_cast<double>(pool)));
-  if (n < 0) return 0;
-  return n > static_cast<std::int32_t>(pool) ? static_cast<std::int32_t>(pool)
-                                             : n;
 }
 
 /// Partial Fisher-Yates: permutes the first `count` slots of `pool` into a
@@ -43,21 +30,6 @@ void sample_prefix(std::vector<std::int32_t>& pool, std::int32_t count,
 
 FaultModel::FaultModel(const FaultParams& params, const Topology& topo,
                        std::uint64_t run_seed) {
-  check_fraction("link_fail_fraction", params.link_fail_fraction);
-  check_fraction("router_fail_fraction", params.router_fail_fraction);
-  check_fraction("degrade_fraction", params.degrade_fraction);
-  if (params.onset < 0) {
-    throw std::invalid_argument("fault: onset must be >= 0");
-  }
-  if (params.degrade_latency < 0) {
-    throw std::invalid_argument("fault: degrade_latency must be >= 0");
-  }
-  if (params.flap_period > 0 &&
-      (params.flap_down <= 0 || params.flap_down >= params.flap_period)) {
-    throw std::invalid_argument(
-        "fault: flap_down must satisfy 0 < flap_down < flap_period");
-  }
-
   enabled_ = params.enabled;
   stride_ = topo.radix();
   onset_ = params.onset;

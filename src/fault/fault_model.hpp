@@ -34,8 +34,7 @@ class FaultModel {
 
   /// Builds the schedule from `params` over the wiring of `topo`. Selection
   /// uses params.seed, or `run_seed` mixed with a fixed constant when
-  /// params.seed == 0. Throws std::invalid_argument on malformed params
-  /// (fractions outside [0,1], flap_down not in (0, flap_period)).
+  /// params.seed == 0. `params` must pass validate() (sim/config_io.hpp).
   FaultModel(const FaultParams& params, const Topology& topo,
              std::uint64_t run_seed);
 

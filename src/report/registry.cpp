@@ -4,7 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/ectn_state.hpp"
+#include "routing/ectn_state.hpp"
 #include "engine/simulator.hpp"
 
 namespace dfsim::report {
@@ -472,32 +472,32 @@ void run_ablation_workloads(RunContext& ctx, ResultsDoc& doc) {
       ctx.lineup_or({kMin, kUgalL, kPiggyback, kCbBase, kCbEctn});
 
   std::vector<GridTick> ticks;
-  if (ctx.traffic_forced) {
+  if (ctx.assigned.contains("traffic.kind")) {
     TrafficParams traffic = ctx.base.traffic;
     traffic.load = load;
     ticks.push_back(GridTick{traffic_label(traffic), kNaN,
                              [traffic](SimParams& p) { p.traffic = traffic; }});
   } else {
-    // Bench defaults (explicit flags always win): shift by a group's worth
-    // of nodes plus one so destinations straddle a router boundary; hot-set
-    // sizing keeps per-hot-node demand under the 1 phit/cycle ejection
-    // bound so HOTSPOT separates mechanisms instead of saturating.
+    // Pattern defaults for the keys the user left alone: shift by a group's
+    // worth of nodes plus one so destinations straddle a router boundary;
+    // hot-set sizing keeps per-hot-node demand under the 1 phit/cycle
+    // ejection bound so HOTSPOT separates mechanisms instead of saturating.
     const std::int32_t npg = ctx.base.topo.a * ctx.base.topo.p;
     TrafficParams base_traffic = ctx.base.traffic;
     base_traffic.load = load;
-    if (!ctx.shift_offset_forced) base_traffic.shift_offset = npg + 1;
-    if (!ctx.hotspot_count_forced) {
-      base_traffic.hotspot_count =
-          std::max<std::int32_t>(1, ctx.base.topo.nodes() / 8);
-    }
-    if (!ctx.hotspot_fraction_forced) base_traffic.hotspot_fraction = 0.3;
+    ctx.default_key("traffic.shift_offset", base_traffic.shift_offset,
+                    npg + 1);
+    ctx.default_key("traffic.hotspot_count", base_traffic.hotspot_count,
+                    std::max<std::int32_t>(1, ctx.base.topo.nodes() / 8));
+    ctx.default_key("traffic.hotspot_fraction", base_traffic.hotspot_fraction,
+                    0.3);
     auto add = [&](const char* name, TrafficKind kind,
                    InjectionProcess injection = InjectionProcess::kBernoulli) {
       TrafficParams traffic = base_traffic;
       traffic.kind = kind;
-      // An explicit --injection applies to every pattern row; the two
+      // A user's traffic.injection applies to every pattern row; the two
       // *-bursty rows are only defaults.
-      if (!ctx.injection_forced) traffic.injection = injection;
+      ctx.default_key("traffic.injection", traffic.injection, injection);
       ticks.push_back(
           GridTick{name, kNaN,
                    [traffic](SimParams& p) { p.traffic = traffic; }});

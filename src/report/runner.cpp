@@ -1,6 +1,5 @@
 #include "report/runner.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <mutex>
 #include <utility>
@@ -128,7 +127,8 @@ Panel run_transient_panel(const std::string& name,
   // its series at once, so a worker holds at most one rep's result; merged
   // values are counts and whole-number sums, so the order reps finish in
   // cannot change a bit.
-  const auto reps = static_cast<std::size_t>(std::max(1, options.reps));
+  check_reps(options.reps);
+  const auto reps = static_cast<std::size_t>(options.reps);
   const std::size_t jobs = series.size() * reps;
   std::mutex merge_mutex;
   parallel_for(jobs, pool_threads(threads, jobs), [&](std::size_t job) {

@@ -5,20 +5,21 @@
 // SteadyResult metric captured.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "engine/experiment.hpp"
 #include "report/schema.hpp"
 #include "sim/config.hpp"
+#include "sim/config_io.hpp"
 
 namespace dfsim::report {
 
 /// Everything a registered experiment needs to run: the scale's base
-/// parameters (with any --config/--set/--traffic overrides already applied)
+/// parameters (with the user's --config/--set assignments already applied)
 /// plus measurement windows and optional user overrides of the x-grid and
 /// the mechanism line-up.
 struct RunContext {
@@ -32,43 +33,38 @@ struct RunContext {
   std::optional<std::vector<RoutingKind>> lineup;
   /// --reps override; transients otherwise use their own (higher) defaults.
   std::optional<std::int32_t> reps;
-  /// --with-ugal appends the UGAL-L/UGAL-G extra baselines that the line-up
-  /// in effect (default or --routings) does not already hold.
-  bool with_ugal = false;
-  /// --traffic/--trace/--adv-offset were given: figure-mandated patterns
-  /// must not clobber them (same contract as the old bench default_traffic).
-  bool traffic_forced = false;
-  bool adv_offset_forced = false;
-  /// Explicit workload knobs (CLI flags) that experiment-specific defaults
-  /// (e.g. ablation_workloads' shift/hotspot sizing) must not override.
-  bool injection_forced = false;
-  bool shift_offset_forced = false;
-  bool hotspot_count_forced = false;
-  bool hotspot_fraction_forced = false;
+  /// The config keys the user assigned (--config, --set). An experiment's
+  /// default for a key never replaces the user's value.
+  std::set<std::string> assigned;
 
+  /// Applies one user assignment to `base` and records its key; a trace
+  /// path also selects trace replay, so it records traffic.kind too.
+  void assign(const std::string& key, const std::string& value) {
+    apply_param(base, key, value);
+    assigned.insert(key);
+    if (key == "traffic.trace_path") assigned.insert("traffic.kind");
+  }
+  /// Sets `field`, the field of config `key`, to an experiment's default
+  /// unless the user assigned the key.
+  template <typename T>
+  void default_key(const char* key, T& field, T value) const {
+    if (!assigned.contains(key)) field = value;
+  }
   [[nodiscard]] std::vector<double> loads_or(
       const std::vector<double>& defaults) const {
     return loads && !loads->empty() ? *loads : defaults;
   }
   [[nodiscard]] std::vector<RoutingKind> lineup_or(
       const std::vector<RoutingKind>& defaults) const {
-    std::vector<RoutingKind> result =
-        lineup && !lineup->empty() ? *lineup : defaults;
-    for (const RoutingKind kind : {RoutingKind::kUgalL, RoutingKind::kUgalG}) {
-      if (with_ugal && std::find(result.begin(), result.end(), kind) ==
-                           result.end()) {
-        result.push_back(kind);
-      }
-    }
-    return result;
+    return lineup && !lineup->empty() ? *lineup : defaults;
   }
   [[nodiscard]] std::int32_t reps_or(std::int32_t fallback) const {
     return reps ? *reps : fallback;
   }
-  /// Applies a figure's default pattern unless the user forced one.
+  /// Applies a figure's default pattern to the keys the user left alone.
   void default_traffic(TrafficKind kind, std::int32_t adv_offset = 1) {
-    if (!traffic_forced) base.traffic.kind = kind;
-    if (!adv_offset_forced) base.traffic.adv_offset = adv_offset;
+    default_key("traffic.kind", base.traffic.kind, kind);
+    default_key("traffic.adv_offset", base.traffic.adv_offset, adv_offset);
   }
 };
 

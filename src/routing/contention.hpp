@@ -13,7 +13,7 @@
 //    snapshot refreshes in the engine's barrier-fenced update window.
 #pragma once
 
-#include "core/ectn_state.hpp"
+#include "routing/ectn_state.hpp"
 #include "routing/mechanism.hpp"
 
 namespace dfsim::routing {

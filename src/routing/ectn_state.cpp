@@ -1,4 +1,4 @@
-#include "core/ectn_state.hpp"
+#include "routing/ectn_state.hpp"
 
 namespace dfsim {
 

@@ -15,7 +15,7 @@ RoutingMechanism::RoutingMechanism(const SimParams& params,
                 params.routing.counter_saturation),
       radix_(topo.radix()),
       fwd_(topo.forward_ports()),
-      psize_(std::max(1, params.packet_size_phits)),
+      psize_(params.packet_size_phits),
       fault_on_(engine.fault_overlay()) {}
 
 RoutingMechanism::~RoutingMechanism() = default;

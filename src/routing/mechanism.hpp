@@ -39,8 +39,8 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/contention_counters.hpp"
-#include "core/triggers.hpp"
+#include "routing/contention_counters.hpp"
+#include "routing/triggers.hpp"
 #include "sim/config.hpp"
 #include "telemetry/telemetry_sink.hpp"
 #include "topo/topology.hpp"

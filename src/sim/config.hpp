@@ -1,7 +1,8 @@
 // Simulation parameters: topology shape, router microarchitecture, link
 // latencies, routing mechanism knobs, and traffic pattern — plus the named
 // presets every bench selects with --scale (Table I of the paper at "paper"
-// scale, proportionally shrunk versions below it).
+// scale, proportionally shrunk versions below it). Each field's valid range
+// is its row in sim/config_io.cpp, checked by validate().
 #pragma once
 
 #include <cstdint>
@@ -222,7 +223,7 @@ struct NotifyParams {
   /// Occupancy fraction of a forward link's buffer that flags it congested
   /// during a notification scan (same credit-occupancy test as OLM/PB).
   double threshold = 0.5;
-  /// Cycles between notification scans (0 disables scanning).
+  /// Cycles between notification scans.
   Cycle update_period = 20;
   /// Cycles before a broadcast notification is live at the sources.
   Cycle propagation_delay = 10;
@@ -269,6 +270,11 @@ struct SimParams {
       case TopologyKind::kDragonfly: break;
     }
     return topo.nodes();
+  }
+  [[nodiscard]] std::int32_t routers() const {
+    return topology == TopologyKind::kFbfly   ? fbfly.routers()
+           : topology == TopologyKind::kTorus ? torus.routers()
+                                              : topo.routers();
   }
 };
 

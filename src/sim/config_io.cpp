@@ -1,9 +1,13 @@
 #include "sim/config_io.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
+#include "traffic/trace.hpp"
 #include "util/format.hpp"
 
 namespace dfsim {
@@ -122,29 +126,60 @@ bool trace_path_set(const SimParams& p) {
 // bit-identical across thread counts.
 bool sharded(const SimParams& p) { return p.engine.threads != 1; }
 
+/// A row's valid values, [lo, hi] inclusive; the default bounds nothing.
+struct Range {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+};
+constexpr Range at_least(double lo) { return {.lo = lo}; }
+constexpr Range kFraction{0.0, 1.0};  // shares and probabilities
+
+using Gate = bool (*)(const SimParams& p);  // nullptr: always emitted
+using Parse = void (*)(SimParams& p, const std::string& key,
+                       const std::string& value);
+
 struct Row {
   const char* key;
-  bool (*gate)(const SimParams& p);  // nullptr: always emitted
-  void (*parse)(SimParams& p, const std::string& key, const std::string& value);
+  Gate gate;
+  Parse parse;
   std::string (*format)(const SimParams& p);
+  Range range;
+  double (*number)(const SimParams& p);  // nullptr: a row without a number
+  bool integral = false;
 };
 
 /// A row over the field `Field{}(params)` returns: its type picks the
-/// formatter, and the parser unless the row names one.
+/// parser and the formatter, and a number field is checked against `range`.
 template <typename Field>
-constexpr Row row(const char* key, Field, decltype(Row::gate) gate,
-                  decltype(Row::parse) parse) {
-  return {key, gate, parse,
-          [](const SimParams& p) { return format_value(Field{}(p)); }};
+constexpr Row row(const char* key, Field, Range range = {},
+                  Gate gate = nullptr) {
+  Row r{key, gate,
+        [](SimParams& p, const std::string& k, const std::string& v) {
+          parse_value(Field{}(p), k, v);
+        },
+        [](const SimParams& p) { return format_value(Field{}(p)); }, range,
+        nullptr};
+  using T = std::remove_cvref_t<decltype(Field{}(std::declval<SimParams&>()))>;
+  if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+    r.number = [](const SimParams& p) {
+      return static_cast<double>(Field{}(p));
+    };
+    r.integral = std::is_integral_v<T>;
+  }
+  return r;
 }
 
 template <typename Field>
-constexpr Row row(const char* key, Field field,
-                  decltype(Row::gate) gate = nullptr) {
-  return row(key, field, gate,
-             [](SimParams& p, const std::string& k, const std::string& v) {
-               parse_value(Field{}(p), k, v);
-             });
+constexpr Row row(const char* key, Field field, Gate gate) {
+  return row(key, field, Range{}, gate);
+}
+
+/// A row whose field parses by hand (the string fields).
+template <typename Field>
+constexpr Row row(const char* key, Field, Gate gate, Parse parse) {
+  return {key, gate, parse,
+          [](const SimParams& p) { return format_value(Field{}(p)); }, {},
+          nullptr};
 }
 
 // A row's key is its field's member path, spelled once: ROW(topo.p) is the
@@ -153,84 +188,102 @@ constexpr Row row(const char* key, Field field,
   row(#member, [](auto& p) -> auto& { return p.member; } \
       __VA_OPT__(, ) __VA_ARGS__)
 
-/// Every config key, in canonical-text order.
+/// Every config key, in canonical-text order, with its valid range. The
+/// rules that tie keys together are in validate().
 constexpr Row kRows[] = {
     ROW(topology),
-    ROW(topo.p),
-    ROW(topo.a),
-    ROW(topo.h),
-    ROW(fbfly.k),
-    ROW(fbfly.n),
-    ROW(fbfly.c),
-    ROW(torus.k),
-    ROW(torus.n),
-    ROW(torus.c),
-    ROW(router.pipeline_cycles),
-    ROW(router.speedup),
-    ROW(router.vcs_local),
-    ROW(router.vcs_global),
-    ROW(router.vcs_injection),
-    ROW(router.buf_output_phits),
-    ROW(router.buf_local_phits),
-    ROW(router.buf_global_phits),
-    ROW(router.injection_queue_packets),
+    ROW(topo.p, at_least(1)),
+    ROW(topo.a, at_least(2)),
+    ROW(topo.h, at_least(1)),
+    ROW(fbfly.k, at_least(2)),
+    ROW(fbfly.n, at_least(1)),
+    ROW(fbfly.c, at_least(1)),
+    // k >= 3 keeps a ring's plus and minus ports distinct links (k = 2
+    // would double the one physical link between its two routers).
+    ROW(torus.k, at_least(3)),
+    ROW(torus.n, at_least(1)),
+    ROW(torus.c, at_least(1)),
+    ROW(router.pipeline_cycles, at_least(0)),
+    // Below 1 no allocator iteration runs, so nothing ever departs.
+    ROW(router.speedup, at_least(1)),
+    // A class with no VC would route onto VC -1.
+    ROW(router.vcs_local, at_least(1)),
+    ROW(router.vcs_global, at_least(1)),
+    ROW(router.vcs_injection, at_least(1)),
+    ROW(router.buf_output_phits, at_least(1)),
+    ROW(router.buf_local_phits),   // >= packet_size_phits
+    ROW(router.buf_global_phits),  // >= packet_size_phits
+    ROW(router.injection_queue_packets, at_least(1)),
     ROW(router.through_priority),
-    ROW(link.local_latency),
-    ROW(link.global_latency),
+    ROW(link.local_latency, at_least(0)),
+    ROW(link.global_latency, at_least(0)),
     ROW(routing.kind),
-    ROW(routing.contention_threshold),
-    ROW(routing.hybrid_contention_threshold),
-    ROW(routing.ectn_combined_threshold),
-    ROW(routing.ectn_update_period),
-    ROW(routing.counter_saturation),
-    ROW(routing.olm_credit_fraction),
-    ROW(routing.hybrid_credit_fraction),
+    ROW(routing.contention_threshold, at_least(1)),
+    ROW(routing.hybrid_contention_threshold, at_least(1)),
+    ROW(routing.ectn_combined_threshold, at_least(1)),
+    ROW(routing.ectn_update_period, at_least(1)),
+    // Counters are 16-bit.
+    ROW(routing.counter_saturation, Range{1, 32767}),
+    ROW(routing.olm_credit_fraction, kFraction),
+    ROW(routing.hybrid_credit_fraction, kFraction),
     ROW(routing.pb_ugal_threshold),
     ROW(routing.global_policy),
     ROW(routing.allow_local_misroute),
     ROW(routing.statistical_trigger),
-    ROW(routing.statistical_window),
+    ROW(routing.statistical_window, at_least(1)),
     ROW(traffic.kind),
-    ROW(traffic.load),
+    ROW(traffic.load, kFraction),
     ROW(traffic.adv_offset),
-    ROW(traffic.mixed_uniform_fraction),
+    ROW(traffic.mixed_uniform_fraction, kFraction),
     ROW(traffic.shift_offset),
-    ROW(traffic.hotspot_count),
-    ROW(traffic.hotspot_fraction),
+    ROW(traffic.hotspot_count, at_least(1)),  // <= nodes under hotspot
+    ROW(traffic.hotspot_fraction, kFraction),
     ROW(traffic.injection),
-    ROW(traffic.burst_factor),
-    ROW(traffic.burst_len),
+    ROW(traffic.burst_factor, at_least(1)),
+    ROW(traffic.burst_len, at_least(1)),
     ROW(traffic.trace_path, trace_path_set, parse_trace_path),
-    ROW(traffic.inorder_fraction),
-    ROW(packet_size_phits),
+    ROW(traffic.inorder_fraction, kFraction),
+    ROW(packet_size_phits, at_least(1)),
     ROW(seed),
     ROW(fault.enabled, fault_on),
     ROW(fault.seed, fault_on),
-    ROW(fault.onset, fault_on),
-    ROW(fault.link_fail_fraction, fault_on),
+    ROW(fault.onset, at_least(0), fault_on),
+    ROW(fault.link_fail_fraction, kFraction, fault_on),
     ROW(fault.link_class, fault_on, parse_link_class),
-    ROW(fault.flap_period, fault_on),
-    ROW(fault.flap_down, fault_on),
-    ROW(fault.router_fail_fraction, fault_on),
-    ROW(fault.degrade_fraction, fault_on),
-    ROW(fault.degrade_latency, fault_on),
-    ROW(fault.hop_cap, fault_on),
+    ROW(fault.flap_period, at_least(0), fault_on),
+    ROW(fault.flap_down, at_least(0), fault_on),  // < flap_period
+    ROW(fault.router_fail_fraction, kFraction, fault_on),
+    ROW(fault.degrade_fraction, kFraction, fault_on),
+    ROW(fault.degrade_latency, at_least(0), fault_on),
+    ROW(fault.hop_cap, at_least(1), fault_on),
     ROW(telemetry.enabled, telemetry_on),
-    ROW(telemetry.sample_period, telemetry_on),
-    ROW(telemetry.max_samples, telemetry_on),
+    ROW(telemetry.sample_period, at_least(1), telemetry_on),
+    ROW(telemetry.max_samples, at_least(1), telemetry_on),
     ROW(trace.enabled, trace_on),
     ROW(trace.seed, trace_on),
-    ROW(trace.sample_rate, trace_on),
-    ROW(trace.max_events, trace_on),
-    ROW(notify.threshold, notify_on),
-    ROW(notify.update_period, notify_on),
-    ROW(notify.propagation_delay, notify_on),
-    ROW(notify.expiry, notify_on),
+    ROW(trace.sample_rate, kFraction, trace_on),
+    ROW(trace.max_events, at_least(0), trace_on),
+    ROW(notify.threshold, kFraction, notify_on),
+    ROW(notify.update_period, at_least(1), notify_on),
+    ROW(notify.propagation_delay, at_least(0), notify_on),
+    // Live for [arrival, arrival + expiry): at 0 a fresh one never is.
+    ROW(notify.expiry, at_least(1), notify_on),
     ROW(notify.throttle_injection, notify_on),
-    ROW(engine.threads, sharded),
+    ROW(engine.threads, at_least(1), sharded),  // <= routers
 };
 
 #undef ROW
+
+std::string bound_text(const Range& r) {
+  const std::string lo = shortest_round_trip(r.lo);
+  if (std::isinf(r.hi)) return ">= " + lo;
+  return "in [" + lo + ", " + shortest_round_trip(r.hi) + "]";
+}
+
+[[noreturn]] void reject(const std::string& key, const std::string& rule,
+                         const std::string& got) {
+  throw std::invalid_argument(key + " must be " + rule + ", got " + got);
+}
 
 }  // namespace
 
@@ -257,10 +310,68 @@ std::string canonical_params_text(const SimParams& p) {
   return out;
 }
 
-SimParams load_params(const std::string& path, const SimParams& base) {
+void validate(const SimParams& p) {
+  using std::to_string;
+  for (const Row& r : kRows) {
+    if (r.number == nullptr) continue;
+    const double v = r.number(p);
+    if (!std::isfinite(v) || v < r.range.lo || v > r.range.hi) {
+      reject(r.key, bound_text(r.range), r.format(p));
+    }
+  }
+  // Every shard owns at least one router.
+  if (p.engine.threads > p.routers()) {
+    reject("engine.threads", "<= " + to_string(p.routers()) +
+           " (the router count)", to_string(p.engine.threads));
+  }
+  if (p.traffic.kind == TrafficKind::kHotspot &&
+      p.traffic.hotspot_count > p.nodes()) {
+    reject("traffic.hotspot_count", "<= " + to_string(p.nodes()) +
+           " (the node count)", to_string(p.traffic.hotspot_count));
+  }
+  // A buffer holds at least one packet.
+  const std::string packet =
+      ">= " + to_string(p.packet_size_phits) + " (packet_size_phits)";
+  for (const auto& [key, phits] :
+       {std::pair{"router.buf_local_phits", p.router.buf_local_phits},
+        std::pair{"router.buf_global_phits", p.router.buf_global_phits}}) {
+    if (phits < p.packet_size_phits) reject(key, packet, to_string(phits));
+  }
+  if (p.fault.flap_period > 0 &&
+      (p.fault.flap_down == 0 || p.fault.flap_down >= p.fault.flap_period)) {
+    reject("fault.flap_down", "in (0, fault.flap_period) while flapping",
+           to_string(p.fault.flap_down));
+  }
+  // The sink's counters and the tracer's buffer are not sharded.
+  if (p.engine.threads != 1 && (p.telemetry.enabled || p.trace.enabled)) {
+    reject(p.telemetry.enabled ? "telemetry.enabled" : "trace.enabled",
+           "false at engine.threads > 1", "true");
+  }
+  if (p.traffic.kind == TrafficKind::kTrace) {
+    try {
+      (void)validate_trace(p.traffic.trace_path);
+    } catch (const std::runtime_error& e) {
+      reject("traffic.trace_path", "a readable trace", e.what());
+    }
+  }
+}
+
+std::vector<ParamRange> param_ranges() {
+  std::vector<ParamRange> ranges;
+  for (const Row& r : kRows) {
+    if (r.number != nullptr &&
+        (std::isfinite(r.range.lo) || std::isfinite(r.range.hi))) {
+      ranges.push_back({r.key, r.range.lo, r.range.hi, r.integral});
+    }
+  }
+  return ranges;
+}
+
+std::vector<std::pair<std::string, std::string>> read_params(
+    const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("config: cannot open " + path);
-  SimParams params = base;
+  std::vector<std::pair<std::string, std::string>> assignments;
   std::string line;
   std::string section;
   while (std::getline(in, line)) {
@@ -278,13 +389,12 @@ SimParams load_params(const std::string& path, const SimParams& base) {
                                   line + "'");
     }
     std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
     if (!section.empty() && key.find('.') == std::string::npos) {
       key = section + "." + key;
     }
-    apply_param(params, key, value);
+    assignments.emplace_back(std::move(key), trim(line.substr(eq + 1)));
   }
-  return params;
+  return assignments;
 }
 
 }  // namespace dfsim

@@ -31,7 +31,7 @@ void PacketTracer::configure(const TraceParams& params, std::uint64_t run_seed,
       params.seed != 0 ? params.seed : run_seed ^ 0x7261636570656b74ull;
   rng_ = Rng(seed);
   sample_threshold_ = Rng::bool_threshold(params.sample_rate);
-  max_events_ = params.max_events > 0 ? params.max_events : 0;
+  max_events_ = params.max_events;
   next_id_ = 0;
   sampled_packets_ = 0;
   dropped_events_ = 0;

@@ -1,15 +1,11 @@
 #include "topo/dragonfly.hpp"
 
 #include <cassert>
-#include <stdexcept>
 
 namespace dfsim {
 
 DragonflyTopology::DragonflyTopology(const TopoParams& params)
     : params_(params), groups_(params.groups()) {
-  if (params_.p < 1 || params_.a < 2 || params_.h < 1) {
-    throw std::invalid_argument("dragonfly: need p>=1, a>=2, h>=1");
-  }
   set_shape(params_.routers(), params_.forward_ports(), params_.p);
 
   const auto n_routers = static_cast<std::size_t>(routers());

@@ -14,7 +14,8 @@
 namespace dfsim {
 
 /// Builds the topology named by `params.topology` from the matching shape
-/// struct. Throws std::invalid_argument on invalid shapes.
+/// struct, whose fields must be in their validate() ranges
+/// (sim/config_io.hpp).
 [[nodiscard]] std::unique_ptr<Topology> make_topology(const SimParams& params);
 
 /// Calls `fn(topo)` with `topo` cast to the `final` class that `kind` names,

@@ -1,15 +1,10 @@
 #include "topo/fbfly.hpp"
 
-#include <stdexcept>
-
 namespace dfsim {
 
 FlattenedButterflyTopology::FlattenedButterflyTopology(
     const FbflyParams& params)
     : params_(params) {
-  if (params_.k < 2 || params_.n < 1 || params_.c < 1) {
-    throw std::invalid_argument("fbfly: need k>=2, n>=1, c>=1");
-  }
   channels_ = params_.n * (params_.k - 1);
   set_shape(params_.routers(), channels_, params_.c);
 }

@@ -1,15 +1,8 @@
 #include "topo/torus.hpp"
 
-#include <stdexcept>
-
 namespace dfsim {
 
 TorusTopology::TorusTopology(const TorusParams& params) : params_(params) {
-  if (params_.k < 3 || params_.n < 1 || params_.c < 1) {
-    // k >= 3 keeps plus/minus ports distinct links (k == 2 would double the
-    // single physical link between the two routers of a ring).
-    throw std::invalid_argument("torus: need k>=3, n>=1, c>=1");
-  }
   set_shape(params_.routers(), 2 * params_.n, params_.c);
 }
 

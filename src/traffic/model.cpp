@@ -21,23 +21,17 @@ TrafficModel::TrafficModel(const TrafficParams& spec,
                            std::int32_t packet_size_phits, std::uint64_t seed)
     : spec_(spec),
       topo_(topo),
-      psize_(std::max(1, packet_size_phits)),
+      psize_(packet_size_phits),
       rng_(seed ^ kTrafficSeedSalt) {
-  if (topo_.nodes < 1 || topo_.groups < 1 ||
-      topo_.nodes_per_group * topo_.groups != topo_.nodes) {
-    throw std::invalid_argument(
-        "traffic: topology info must partition nodes into groups");
-  }
+  assert(topo_.nodes >= 1 && topo_.groups >= 1 &&
+         topo_.nodes_per_group * topo_.groups == topo_.nodes);
   node_hi_ = topo_.nodes;
   build_tables();
   size_ring();
 }
 
 void TrafficModel::restrict_nodes(NodeId lo, NodeId hi) {
-  if (lo < 0 || hi > topo_.nodes || lo >= hi) {
-    throw std::invalid_argument("traffic: bad node range restriction");
-  }
-  assert(cycles_ahead() == 0);
+  assert(lo >= 0 && hi <= topo_.nodes && lo < hi && cycles_ahead() == 0);
   node_lo_ = lo;
   node_hi_ = hi;
   size_ring();
@@ -85,8 +79,7 @@ void TrafficModel::build_tables() {
   const std::int32_t nodes = topo_.nodes;
   const std::int32_t groups = topo_.groups;
   const std::int32_t npg = topo_.nodes_per_group;
-  inject_prob_ =
-      std::clamp(spec_.load / static_cast<double>(psize_), 0.0, 1.0);
+  inject_prob_ = spec_.load / static_cast<double>(psize_);
   inject_threshold_ = Rng::bool_threshold(inject_prob_);
 
   // Adversarial group bases: the offset is normalized ONCE here, not per
@@ -102,9 +95,7 @@ void TrafficModel::build_tables() {
       } else {
         gd = (g + ((spec_.adv_offset % groups) + groups) % groups) % groups;
       }
-      if (gd < 0 || gd >= groups) {
-        throw std::invalid_argument("traffic: adv_group out of range");
-      }
+      assert(gd >= 0 && gd < groups);
       adv_base_[static_cast<std::size_t>(g)] = gd * npg;
     }
   }
@@ -162,8 +153,7 @@ void TrafficModel::build_tables() {
   }
 
   if (spec_.kind == TrafficKind::kHotspot) {
-    const std::int32_t count =
-        std::clamp(spec_.hotspot_count, 1, nodes);
+    const std::int32_t count = spec_.hotspot_count;
     hot_nodes_.assign(static_cast<std::size_t>(count), 0);
     // Spread the hot set evenly so it spans groups (worst case for remote
     // congestion detection).
@@ -178,9 +168,9 @@ void TrafficModel::build_tables() {
   // p_on = burst_factor * load, and alpha chosen so the stationary ON share
   // (alpha / (alpha + beta)) times p_on equals the offered load exactly.
   if (spec_.injection == InjectionProcess::kBursty) {
-    p_on_ = std::clamp(spec_.burst_factor * inject_prob_, inject_prob_, 1.0);
+    p_on_ = std::min(spec_.burst_factor * inject_prob_, 1.0);
     const double duty = p_on_ > 0.0 ? inject_prob_ / p_on_ : 1.0;
-    beta_ = 1.0 / std::max(1.0, spec_.burst_len);
+    beta_ = 1.0 / spec_.burst_len;
     if (duty >= 1.0 - 1e-12) {
       alpha_ = 1.0;
       beta_ = 0.0;

@@ -58,8 +58,9 @@ struct Injection {
 class TrafficModel {
  public:
   /// `packet_size_phits` converts spec.load (phits/node/cycle) into the
-  /// per-node packet injection probability. Throws std::invalid_argument on
-  /// inconsistent topology info and std::runtime_error on unreadable traces.
+  /// per-node packet injection probability. The spec and packet size must
+  /// pass validate() (sim/config_io.hpp). Throws std::runtime_error on
+  /// unreadable traces.
   TrafficModel(const TrafficParams& spec, const TrafficTopologyInfo& topo,
                std::int32_t packet_size_phits, std::uint64_t seed);
 

@@ -64,12 +64,4 @@ InjectionProcess injection_process_from_string(const std::string& name) {
   throw std::invalid_argument("unknown injection process: " + name);
 }
 
-const std::vector<std::string>& traffic_kind_names() {
-  static const std::vector<std::string> names{
-      "uniform",   "adversarial", "mixed",      "shift",   "bitcomp",
-      "transpose", "tornado",     "grouplocal", "hotspot",
-  };
-  return names;
-}
-
 }  // namespace dfsim

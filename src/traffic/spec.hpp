@@ -1,13 +1,12 @@
-// Traffic workload specification shared by both simulators: spatial pattern
-// kinds, injection-process kinds, and the TrafficParams knob block that
-// sim/config embeds, config_io overlays, and bench/common parses from the
-// command line. The runtime interpreter of this spec (pre-resolved tables,
-// the per-cycle pull API) lives in traffic/model.hpp.
+// Traffic workload specification: spatial pattern kinds, injection-process
+// kinds, and the TrafficParams knob block that sim/config embeds and
+// config_io parses, bounds and overlays. The runtime interpreter of this
+// spec (pre-resolved tables, the per-cycle pull API) lives in
+// traffic/model.hpp.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace dfsim {
 
@@ -40,9 +39,6 @@ enum class InjectionProcess : std::uint8_t {
 [[nodiscard]] TrafficKind traffic_kind_from_string(const std::string& name);
 [[nodiscard]] InjectionProcess injection_process_from_string(
     const std::string& name);
-/// Canonical CLI spellings of every self-contained pattern (kTrace excluded:
-/// it needs a trace_path). Smoke jobs iterate this list.
-[[nodiscard]] const std::vector<std::string>& traffic_kind_names();
 
 struct TrafficParams {
   TrafficKind kind = TrafficKind::kUniform;

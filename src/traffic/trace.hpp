@@ -31,9 +31,9 @@ void write_trace(const std::string& path,
 /// when handed a packet-event trace (telemetry/packet_trace.hpp).
 [[nodiscard]] std::vector<TraceRecord> read_trace(const std::string& path);
 /// Header-only validation (magic + record count vs file size); returns the
-/// record count. Same errors as read_trace without reading the records —
-/// bench drivers call this up front so a bad --trace fails fast instead of
-/// throwing from a sweep worker thread.
+/// record count. Same errors as read_trace without reading the records;
+/// validate() (sim/config_io.hpp) calls it so an unreadable
+/// traffic.trace_path fails before any simulation starts.
 [[nodiscard]] std::uint64_t validate_trace(const std::string& path);
 
 }  // namespace dfsim

@@ -13,6 +13,14 @@
 
 namespace {
 
+// An INI overlay: the file's assignments on top of `base`.
+dfsim::SimParams load_params(const std::string& path, dfsim::SimParams base) {
+  for (const auto& [key, value] : dfsim::read_params(path)) {
+    dfsim::apply_param(base, key, value);
+  }
+  return base;
+}
+
 std::string write_temp(const std::string& contents) {
   const std::string path = "dfsim_test_config.ini";
   std::ofstream out(path);

@@ -2,7 +2,7 @@
 #include <cassert>
 #include <cstdlib>
 
-#include "core/contention_counters.hpp"
+#include "routing/contention_counters.hpp"
 
 int main() {
   using namespace dfsim;

@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "core/ectn_state.hpp"
+#include "routing/ectn_state.hpp"
 
 int main() {
   using namespace dfsim;

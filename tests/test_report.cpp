@@ -2,6 +2,7 @@
 // re-emit byte-identical), schema document round-trip, config-hash
 // stability and sensitivity, and a parity-gate self-test where a
 // deliberately corrupted golden must fail while the pristine one passes.
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <initializer_list>
@@ -377,30 +378,6 @@ void test_registry_and_render() {
   std::cout << "registry + renderer ok\n";
 }
 
-void test_with_ugal_lineup() {
-  // --with-ugal appends only the UGAL baselines the line-up lacks: the
-  // companion-topology line-ups already hold UGAL-L, which must not be
-  // simulated twice.
-  RunContext ctx;
-  ctx.scale = "tiny";
-  ctx.base = presets::tiny();
-  ctx.options.warmup = 100;
-  ctx.options.measure = 100;
-  ctx.loads = std::vector<double>{0.1};
-  ctx.with_ugal = true;
-  const ResultsDoc doc =
-      run_experiment(*find_experiment("ablation_fbfly"), ctx);
-  const std::vector<std::string> expected{"MIN", "VAL", "UGAL-L", "Base",
-                                          "UGAL-G"};
-  assert(doc.panels.size() == 2);
-  for (const Panel& panel : doc.panels) assert(panel.series == expected);
-
-  ctx.lineup = std::vector<RoutingKind>{RoutingKind::kUgalG};
-  assert((ctx.lineup_or({RoutingKind::kMin}) ==
-          std::vector<RoutingKind>{RoutingKind::kUgalG, RoutingKind::kUgalL}));
-  std::cout << "with-ugal line-up ok\n";
-}
-
 RunContext short_tiny_context(std::int32_t engine_threads) {
   RunContext ctx;
   ctx.scale = "tiny";
@@ -411,6 +388,42 @@ RunContext short_tiny_context(std::int32_t engine_threads) {
   ctx.loads = std::vector<double>{0.2};
   ctx.reps = 1;
   return ctx;
+}
+
+void test_user_keys_win() {
+  // A key the user assigned (--set or --config, recorded by
+  // RunContext::assign) is never replaced by an experiment's default:
+  // fig5a's UN pattern yields to traffic.kind, and ablation_workloads'
+  // hot-set sizing to traffic.hotspot_count.
+  RunContext adv = short_tiny_context(1);
+  adv.assign("traffic.kind", "ADV");
+  assert(run_experiment(*find_experiment("fig5a"), adv).header.config_hash ==
+         config_hash(adv.base));
+  // A trace path selects trace replay, so it counts as traffic.kind.
+  RunContext traced = short_tiny_context(1);
+  traced.assign("traffic.trace_path", "replay.trace");
+  assert(traced.assigned.contains("traffic.kind"));
+
+  // The HOTSPOT row under a user's hotspot_count = 4 is the user's own
+  // hotspot(n=4, f=0.30) pattern, the row's default fraction.
+  const ExperimentSpec& workloads = *find_experiment("ablation_workloads");
+  RunContext sized = short_tiny_context(1);
+  sized.lineup = std::vector<RoutingKind>{RoutingKind::kCbBase};
+  sized.assign("traffic.hotspot_count", "4");
+  RunContext own = sized;
+  own.assign("traffic.kind", "hotspot");
+  own.assign("traffic.hotspot_fraction", "0.3");
+  const Panel rows = run_experiment(workloads, sized).panels.at(0);
+  const Panel one = run_experiment(workloads, own).panels.at(0);
+  assert(one.x_labels == std::vector<std::string>{"HOTSPOT(n=4,f=0.30)"});
+  const auto hot = static_cast<std::size_t>(
+      std::find(rows.x_labels.begin(), rows.x_labels.end(), "HOTSPOT") -
+      rows.x_labels.begin());
+  assert(hot < rows.x_labels.size());
+  for (std::size_t m = 0; m < rows.metrics.size(); ++m) {
+    assert(rows.metrics[m].second[hot] == one.metrics[m].second[0]);
+  }
+  std::cout << "user keys win ok\n";
 }
 
 void test_companion_engine_threads() {
@@ -522,7 +535,7 @@ int main() {
   test_trend_gates();
   test_golden_gates();
   test_registry_and_render();
-  test_with_ugal_lineup();
+  test_user_keys_win();
   test_companion_engine_threads();
   test_transient_panel_threads();
   test_instrumented_one_shard();

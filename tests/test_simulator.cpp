@@ -1,19 +1,25 @@
 // End-to-end simulator sanity at tiny scale: conservation, routing-mechanism
 // invariants (MIN never misroutes, VAL always does), throughput under light
 // load, adversarial behavior ordering, transient experiments and their rep
-// merge, the sweep's hand-out order, and up-front rejection of port classes
-// configured with no VC.
+// merge, the sweep's hand-out order, and up-front rejection, by name, of
+// every value outside its parameter-table range or a cross-key rule.
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "engine/experiment.hpp"
 #include "engine/simulator.hpp"
 #include "engine/sweep.hpp"
 #include "sim/config_io.hpp"
+#include "traffic/trace.hpp"
+#include "util/format.hpp"
 
 namespace {
 
@@ -265,49 +271,97 @@ int main() {
     assert(r.latency_p99 != mean_of_p99);
   }
 
-  // Nonsense physics is rejected up front, naming the key: a port class
-  // with no VC (it would route onto VC -1 and read outside the queue
-  // arrays), a speedup below 1 (no allocator iteration would run), a packet
-  // of no phits, an injection queue with no slot, a negative delay, a
-  // buffer that cannot hold one packet, and a shard count outside
-  // [1, routers].
-  const auto rejected = [](const char* key, const std::string& bad) {
+  // Every configuration is checked once, against the parameter table:
+  // `set` is ';'-separated key=value assignments on tiny, as --set takes
+  // them, and the constructor reports the first failing key.
+  const auto error_of = [](const std::string& set) {
     SimParams p = presets::tiny();
-    apply_param(p, key, bad);
-    std::string what;
+    std::stringstream ss(set);
+    std::string assignment;
+    while (std::getline(ss, assignment, ';')) {
+      const std::size_t eq = assignment.find('=');
+      apply_param(p, assignment.substr(0, eq), assignment.substr(eq + 1));
+    }
     try {
       Simulator sim(p);
     } catch (const std::invalid_argument& e) {
-      what = e.what();
+      return std::string(e.what());
     }
+    return std::string();
+  };
+  const auto rejected = [&](const std::string& key, const std::string& set) {
+    const std::string what = error_of(set);
     if (what.find(key) != std::string::npos) return true;
-    std::fprintf(stderr, "%s=%s not rejected by name (got '%s')\n", key,
-                 bad.c_str(), what.c_str());
+    std::fprintf(stderr, "%s not rejected by %s (got '%s')\n", set.c_str(),
+                 key.c_str(), what.c_str());
     return false;
   };
-  for (const char* key :
-       {"router.vcs_local", "router.vcs_global", "router.vcs_injection",
-        "router.speedup", "packet_size_phits", "router.injection_queue_packets",
-        "router.buf_local_phits", "router.buf_global_phits"}) {
-    for (const char* bad : {"0", "-1"}) {
-      if (!rejected(key, bad)) return EXIT_FAILURE;
+  const auto accepted = [&](const std::string& set) {
+    const std::string what = error_of(set);
+    if (what.empty()) return true;
+    std::fprintf(stderr, "%s rejected: %s\n", set.c_str(), what.c_str());
+    return false;
+  };
+  // Each bounded row: its bound runs, one step past it is rejected by name.
+  for (const ParamRange& range : param_ranges()) {
+    const double step = range.integral ? 1.0 : 1e-9;
+    const auto set = [&range](double v) {
+      return std::string(range.key) + "=" +
+             (range.integral ? std::to_string(static_cast<std::int64_t>(v))
+                             : shortest_round_trip(v));
+    };
+    for (const auto& [bound, past] : {std::pair{range.lo, range.lo - step},
+                                      std::pair{range.hi, range.hi + step}}) {
+      if (!std::isfinite(bound)) continue;
+      if (!accepted(set(bound)) || !rejected(range.key, set(past))) {
+        return EXIT_FAILURE;
+      }
     }
   }
-  for (const char* key : {"router.pipeline_cycles", "link.local_latency",
-                          "link.global_latency"}) {
-    if (!rejected(key, "-1")) return EXIT_FAILURE;
+  // The rules that tie keys together: a buffer holds one packet, a shard
+  // owns a router, a flap is down for part of its period, telemetry and
+  // tracing run on one shard, the hot set fits the network, and trace
+  // replay needs a readable trace.
+  const SimParams tiny = presets::tiny();
+  const auto with = [](const std::string& key, std::int32_t value) {
+    return key + "=" + std::to_string(value);
+  };
+  const std::string trace_path = "test_simulator_replay.trace";
+  write_trace(trace_path, {TraceRecord{10, 0, 5}});
+  using Case = std::tuple<std::string, std::string, std::string>;
+  const Case cases[] = {
+      {"router.buf_local_phits",
+       with("router.buf_local_phits", tiny.packet_size_phits),
+       with("router.buf_local_phits", tiny.packet_size_phits - 1)},
+      {"router.buf_global_phits",
+       with("router.buf_global_phits", tiny.packet_size_phits),
+       with("router.buf_global_phits", tiny.packet_size_phits - 1)},
+      {"engine.threads", with("engine.threads", tiny.routers()),
+       with("engine.threads", tiny.routers() + 1)},
+      {"fault.flap_down",
+       "fault.enabled=1;fault.flap_period=50;fault.flap_down=49",
+       "fault.enabled=1;fault.flap_period=50;fault.flap_down=50"},
+      {"fault.flap_down", "fault.enabled=1;fault.flap_down=0",
+       "fault.enabled=1;fault.flap_period=50;fault.flap_down=0"},
+      {"fault.link_fail_fraction",
+       "fault.enabled=1;fault.link_fail_fraction=1",
+       "fault.enabled=1;fault.link_fail_fraction=1.5"},
+      {"telemetry.enabled", "telemetry.enabled=1",
+       "telemetry.enabled=1;engine.threads=2"},
+      {"trace.enabled", "trace.enabled=1", "trace.enabled=1;engine.threads=2"},
+      {"traffic.hotspot_count",
+       "traffic.kind=hotspot;" + with("traffic.hotspot_count", tiny.nodes()),
+       "traffic.kind=hotspot;" +
+           with("traffic.hotspot_count", tiny.nodes() + 1)},
+      {"traffic.trace_path", "traffic.trace_path=" + trace_path,
+       "traffic.kind=trace"},
+      {"traffic.trace_path", "traffic.trace_path=" + trace_path,
+       "traffic.trace_path=/nonexistent.trace"},
+  };
+  for (const auto& [key, good, bad] : cases) {
+    if (!accepted(good) || !rejected(key, bad)) return EXIT_FAILURE;
   }
-  const std::string one_phit_short =
-      std::to_string(presets::tiny().packet_size_phits - 1);
-  for (const char* key : {"router.buf_local_phits", "router.buf_global_phits"}) {
-    if (!rejected(key, one_phit_short)) return EXIT_FAILURE;
-  }
-  // More shards than routers (tiny has 36) used to be clamped silently.
-  const std::string one_shard_too_many =
-      std::to_string(presets::tiny().topo.routers() + 1);
-  for (const std::string& bad : {std::string("0"), one_shard_too_many}) {
-    if (!rejected("engine.threads", bad)) return EXIT_FAILURE;
-  }
+  std::remove(trace_path.c_str());
 
   // A sweep point that throws stops the pool, and the exception reaches the
   // caller instead of escaping a worker thread (std::terminate). With two

@@ -68,7 +68,7 @@ ALL_CHECKS = ("CHK-RNG", "CHK-GATE", "CHK-ALLOC", "CHK-CONFIG", "CHK-SCHEMA",
 # --- CHK-RNG configuration ---------------------------------------------------
 
 # Directory (under src/) -> RNG stream its draw sites must belong to.
-# engine/routing/topo/router/core draw from the simulator's routing
+# engine/routing/topo/router draw from the simulator's routing
 # stream (mechanisms and triggers receive it by reference); traffic, fault
 # and trace own theirs.
 STREAM_OF_DIR = {
@@ -76,7 +76,6 @@ STREAM_OF_DIR = {
     "routing": "routing",
     "topo": "routing",
     "router": "routing",
-    "core": "routing",
     "traffic": "traffic",
     "fault": "fault",
     "telemetry": "trace",
@@ -787,16 +786,21 @@ class Analysis:
     # --- CHK-CONFIG
 
     def config_rows(self) -> dict[str, tuple[int, str | None]]:
-        """Key -> (line, gate name or None) for each ROW(...) entry."""
+        """Key -> (line, gate name or None) for each ROW(...) entry. A row's
+        arguments after the key are its range, gate and parser in any
+        order; the gate is the one naming a `bool f(const SimParams&)`."""
         src = self.load(CONFIG_IO)
         if src is None:
             return {}
+        gates = set(re.findall(r"\bbool\s+(\w+)\(\s*const\s+SimParams&",
+                               src.nocomments))
         rows: dict[str, tuple[int, str | None]] = {}
         for m in re.finditer(
-                r"(?<!define )\bROW\(\s*([A-Za-z0-9_.]+)\s*"
-                r"(?:,\s*(\w+))?",
+                r"(?<!define )\bROW\(\s*([A-Za-z0-9_.]+)\s*([^\n]*)",
                 src.nocomments):
-            rows.setdefault(m.group(1), (src.line_of(m.start()), m.group(2)))
+            gate = next((a for a in re.findall(r"\w+", m.group(2))
+                         if a in gates), None)
+            rows.setdefault(m.group(1), (src.line_of(m.start()), gate))
         return rows
 
     def check_config(self):

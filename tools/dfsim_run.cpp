@@ -32,7 +32,6 @@
 #include "sim/config_io.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/packet_trace.hpp"
-#include "traffic/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -49,23 +48,18 @@ int usage(const std::string& error = "") {
       "  list    [--markdown]                      list registered experiments\n"
       "  run     [--experiments=all|a,b] [--scale=tiny|small|medium|paper]\n"
       "          [--out=DIR] [--csv] [--quiet] [--strip-rev] [--progress]\n"
-      "          [--warmup=N --measure=N --reps=N --seed=N --threads=N]\n"
-      "          [--loads=0.1,0.2] [--routings=MIN,Base,..] [--with-ugal]\n"
-      "          [--traffic=NAME --injection=bernoulli|bursty --trace=F]\n"
-      "          [--adv-offset=N --shift-offset=N --hotspot-count=N\n"
-      "           --hotspot-fraction=F --mixed-uniform-fraction=F\n"
-      "           --burst-factor=F --burst-len=F]\n"
+      "          [--warmup=N --measure=N --reps=N --threads=N]\n"
+      "          [--loads=0.1,0.2] [--routings=MIN,Base,..]\n"
       "          [--config=file.ini] [--set=key=v;key2=v2]\n"
       "  check   --in=DIR [--goldens=DIR] [--rel-tol=R --abs-tol=A]\n"
       "  render  --in=DIR [--out=RESULTS.md] [--goldens=DIR]\n"
       "  gate    [--experiments=..] --goldens=DIR [run flags]\n"
       "  observe [--scale=tiny|..] [--out=DIR] [--name=congestion]\n"
-      "          [--routing=Base] [--load=F] [--warmup=N --measure=N]\n"
-      "          [--sample-period=N --max-samples=N] [--trace-rate=F]\n"
-      "          [--trace-max-events=N] [--strip-rev] [run traffic flags]\n"
-      "  perf    [--scales=tiny,medium] [--loads=0.05,0.3] [--routing=Base]\n"
-      "          [--traffic=uniform] [--cycles=N] [--warmup=N] [--seed=N]\n"
-      "          [--engine-threads=1,2,8] [--phases] [--out=F]\n";
+      "          [--warmup=N --measure=N] [--strip-rev] [--config=F --set=..]\n"
+      "  perf    [--scales=tiny,medium] [--loads=0.05,0.3] [--cycles=N]\n"
+      "          [--warmup=N] [--engine-threads=1,2,8] [--phases] [--out=F]\n"
+      "          [--set=key=v;..] (applied to each scale's preset)\n"
+      "Settings are config keys (docs/CONFIG.md), set with --set/--config.\n";
   return 2;
 }
 
@@ -81,15 +75,10 @@ Flags flags(std::initializer_list<Flags> groups) {
   return all;
 }
 
-/// make_context: scale, parameters, windows, seed and traffic.
-const Flags kContextFlags = {
-    "scale", "config", "set", "warmup", "measure", "seed", "traffic", "trace",
-    "injection", "adv-offset", "shift-offset", "hotspot-count",
-    "hotspot-fraction", "mixed-uniform-fraction", "burst-factor",
-    "burst-len"};
+/// make_context: scale, parameters and windows.
+const Flags kContextFlags = {"scale", "config", "set", "warmup", "measure"};
 /// make_context's sweep shape: loads x line-up, repetitions, pool threads.
-const Flags kSweepFlags = {"loads", "routings", "with-ugal", "reps",
-                           "threads"};
+const Flags kSweepFlags = {"loads", "routings", "reps", "threads"};
 /// run_selected: which experiments, and what it prints and writes.
 const Flags kSelectFlags = {"experiments", "out",       "csv",
                             "quiet",       "strip-rev", "progress"};
@@ -150,40 +139,63 @@ void default_cycles(const std::string& scale, Cycle& warmup, Cycle& measure) {
   }
 }
 
+/// `--set=routing.pb_ugal_threshold=5;topo.a=8`: ';'-separated key=value
+/// assignments through the config_io keyspace.
+std::vector<std::pair<std::string, std::string>> set_assignments(
+    const CliOptions& cli) {
+  std::vector<std::pair<std::string, std::string>> assignments;
+  std::stringstream ss(cli.get("set", ""));
+  std::string assignment;
+  while (std::getline(ss, assignment, ';')) {
+    const std::size_t eq = assignment.find('=');
+    if (eq == std::string::npos) {
+      throw std::invalid_argument("--set expects key=value, got '" +
+                                  assignment + "'");
+    }
+    assignments.emplace_back(assignment.substr(0, eq),
+                             assignment.substr(eq + 1));
+  }
+  return assignments;
+}
+
+/// The number `--key` (or `fallback`); a value below `least` ends the run
+/// naming the flag.
+template <typename T>
+T flag_at_least(const CliOptions& cli, const std::string& key, T fallback,
+                T least) {
+  const T value = cli.get_number<T>(key, fallback);
+  if (value >= least) return value;
+  throw std::invalid_argument("--" + key + " must be >= " +
+                              std::to_string(least) + ", got " +
+                              std::to_string(value));
+}
+
 RunContext make_context(const CliOptions& cli) {
   RunContext ctx;
   ctx.scale = cli.get("scale", CliOptions::env("DFSIM_SCALE", "medium"));
   ctx.base = presets::by_name(ctx.scale);
-  if (cli.has("config")) ctx.base = load_params(cli.get("config"), ctx.base);
-  if (cli.has("set")) {
-    // `--set=routing.pb_ugal_threshold=5;topo.a=8` — ';'-separated
-    // key=value assignments through the config_io keyspace.
-    std::stringstream ss(cli.get("set"));
-    std::string assignment;
-    while (std::getline(ss, assignment, ';')) {
-      const std::size_t eq = assignment.find('=');
-      if (eq == std::string::npos) {
-        throw std::invalid_argument("--set expects key=value, got '" +
-                                    assignment + "'");
-      }
-      apply_param(ctx.base, assignment.substr(0, eq),
-                  assignment.substr(eq + 1));
+  // --config first, then --set: a later assignment of a key wins.
+  if (cli.has("config")) {
+    for (const auto& [key, value] : read_params(cli.get("config"))) {
+      ctx.assign(key, value);
     }
   }
-  // Numeric flags parse whole and fit their field, as config values do
-  // (--seed is the seed row's uint64 rule); the DFSIM_* fallbacks stay
-  // lenient.
+  for (const auto& [key, value] : set_assignments(cli)) ctx.assign(key, value);
+
+  // Numeric flags parse whole and fit their field, as config values do; the
+  // DFSIM_* fallbacks stay lenient.
   default_cycles(ctx.scale, ctx.options.warmup, ctx.options.measure);
-  ctx.options.warmup = cli.get_number<Cycle>(
-      "warmup", CliOptions::env_int("DFSIM_WARMUP", ctx.options.warmup));
-  ctx.options.measure = cli.get_number<Cycle>(
-      "measure", CliOptions::env_int("DFSIM_MEASURE", ctx.options.measure));
+  ctx.options.warmup = flag_at_least<Cycle>(
+      cli, "warmup",
+      CliOptions::env_int("DFSIM_WARMUP", ctx.options.warmup), 0);
+  ctx.options.measure = flag_at_least<Cycle>(
+      cli, "measure",
+      CliOptions::env_int("DFSIM_MEASURE", ctx.options.measure), 1);
   if (cli.has("reps")) {
-    ctx.options.reps = cli.get_number<std::int32_t>("reps", 1);
+    ctx.options.reps = flag_at_least<std::int32_t>(cli, "reps", 1, 1);
     ctx.reps = ctx.options.reps;
   }
-  ctx.base.seed = cli.get_number("seed", ctx.base.seed);
-  ctx.threads = cli.get_number("threads", 0);
+  ctx.threads = flag_at_least(cli, "threads", 0, 0);
 
   if (cli.has("loads")) {
     std::vector<double> loads;
@@ -199,50 +211,12 @@ RunContext make_context(const CliOptions& cli) {
     }
     if (!lineup.empty()) ctx.lineup = std::move(lineup);
   }
-  // Appends to the default (or --routings) line-up, as the old benches did.
-  ctx.with_ugal = cli.has("with-ugal");
-
-  if (cli.has("traffic")) {
-    ctx.base.traffic.kind = traffic_kind_from_string(cli.get("traffic"));
-    ctx.traffic_forced = true;
+  // One check before any experiment runs: the base at every --loads entry.
+  for (const double load : ctx.loads_or({ctx.base.traffic.load})) {
+    SimParams params = ctx.base;
+    params.traffic.load = load;
+    validate(params);
   }
-  if (cli.has("trace")) {
-    ctx.base.traffic.kind = TrafficKind::kTrace;
-    ctx.base.traffic.trace_path = cli.get("trace");
-    (void)validate_trace(ctx.base.traffic.trace_path);
-    ctx.traffic_forced = true;
-  }
-  if (cli.has("injection")) {
-    ctx.base.traffic.injection =
-        injection_process_from_string(cli.get("injection"));
-    ctx.injection_forced = true;
-  }
-  if (cli.has("adv-offset")) {
-    ctx.base.traffic.adv_offset =
-        cli.get_number("adv-offset", ctx.base.traffic.adv_offset);
-    ctx.adv_offset_forced = true;
-  }
-  if (cli.has("shift-offset")) {
-    ctx.base.traffic.shift_offset =
-        cli.get_number("shift-offset", ctx.base.traffic.shift_offset);
-    ctx.shift_offset_forced = true;
-  }
-  if (cli.has("hotspot-count")) {
-    ctx.base.traffic.hotspot_count =
-        cli.get_number("hotspot-count", ctx.base.traffic.hotspot_count);
-    ctx.hotspot_count_forced = true;
-  }
-  if (cli.has("hotspot-fraction")) {
-    ctx.base.traffic.hotspot_fraction =
-        cli.get_number("hotspot-fraction", ctx.base.traffic.hotspot_fraction);
-    ctx.hotspot_fraction_forced = true;
-  }
-  ctx.base.traffic.mixed_uniform_fraction = cli.get_number(
-      "mixed-uniform-fraction", ctx.base.traffic.mixed_uniform_fraction);
-  ctx.base.traffic.burst_factor =
-      cli.get_number("burst-factor", ctx.base.traffic.burst_factor);
-  ctx.base.traffic.burst_len =
-      cli.get_number("burst-len", ctx.base.traffic.burst_len);
   return ctx;
 }
 
@@ -322,7 +296,7 @@ std::vector<ResultsDoc> run_selected(const CliOptions& cli) {
   if (!out_dir.empty()) {
     std::filesystem::create_directories(out_dir);
   }
-  // One context for all experiments: --config/--trace are parsed and
+  // One context for all experiments: --config/--set are parsed and
   // validated once; run_experiment copies it per experiment.
   const RunContext ctx = make_context(cli);
   const bool progress = cli.has("progress");
@@ -439,24 +413,11 @@ int cmd_gate(const CliOptions& cli) {
 // a file that exists is a file the readers can parse.
 
 int cmd_observe(const CliOptions& cli) {
-  cli.reject_unknown(flags(
-      {kContextFlags,
-       {"routing", "load", "sample-period", "max-samples", "trace-rate",
-        "trace-max-events", "out", "name", "strip-rev"}}));
-  RunContext ctx = make_context(cli);
+  cli.reject_unknown(flags({kContextFlags, {"out", "name", "strip-rev"}}));
+  const RunContext ctx = make_context(cli);
   SimParams p = ctx.base;
-  if (cli.has("routing")) {
-    p.routing.kind = routing_kind_from_string(cli.get("routing"));
-  }
-  p.traffic.load = cli.get_number("load", p.traffic.load);
   p.telemetry.enabled = true;
-  p.telemetry.sample_period =
-      cli.get_number("sample-period", p.telemetry.sample_period);
-  p.telemetry.max_samples =
-      cli.get_number("max-samples", p.telemetry.max_samples);
   p.trace.enabled = true;
-  p.trace.sample_rate = cli.get_number("trace-rate", p.trace.sample_rate);
-  p.trace.max_events = cli.get_number("trace-max-events", p.trace.max_events);
 
   Simulator sim(p);
   sim.run(ctx.options.warmup);
@@ -526,21 +487,21 @@ Cycle default_perf_cycles(const std::string& scale) {
 }
 
 int cmd_perf(const CliOptions& cli) {
-  cli.reject_unknown(Flags{"scales", "loads", "routing", "traffic", "cycles",
-                           "warmup", "seed", "engine-threads", "phases",
-                           "out"});
+  cli.reject_unknown(Flags{"scales", "loads", "set", "cycles", "warmup",
+                           "engine-threads", "phases", "out"});
   const std::vector<std::string> scales =
       split_csv(cli.get("scales", "tiny,medium"));
+  // The --set assignments on top of a scale's preset.
+  const auto assignments = set_assignments(cli);
+  const auto configured = [&assignments](SimParams p) {
+    for (const auto& [key, value] : assignments) apply_param(p, key, value);
+    return p;
+  };
   std::vector<double> loads;
   for (const std::string& item : split_csv(cli.get("loads", "0.05,0.3"))) {
     loads.push_back(parse_number<double>(item, "--loads"));
   }
-  const RoutingKind routing =
-      routing_kind_from_string(cli.get("routing", "Base"));
-  const TrafficKind traffic =
-      traffic_kind_from_string(cli.get("traffic", "uniform"));
-  const Cycle warmup = cli.get_number<Cycle>("warmup", 500);
-  const std::uint64_t seed = cli.get_number<std::uint64_t>("seed", 1);
+  const Cycle warmup = flag_at_least<Cycle>(cli, "warmup", 500, 0);
   // --engine-threads=1,2,8 measures the same points at several shard
   // counts (engine.threads); points are tagged with their shard count.
   std::vector<std::int32_t> thread_counts;
@@ -559,13 +520,11 @@ int cmd_perf(const CliOptions& cli) {
   for (const std::string& scale : scales) {
     for (const double load : loads) {
       for (const std::int32_t threads : thread_counts) {
-      SimParams p = presets::by_name(scale);
-      p.routing.kind = routing;
-      p.traffic.kind = traffic;
+      SimParams p = configured(presets::by_name(scale));
       p.traffic.load = load;
-      p.seed = seed;
       p.engine.threads = threads;
-      const Cycle cycles = cli.get_number("cycles", default_perf_cycles(scale));
+      const Cycle cycles =
+          flag_at_least(cli, "cycles", default_perf_cycles(scale), Cycle{1});
 
       Simulator sim(p);
       if (phases) sim.enable_phase_profiler();
@@ -647,8 +606,10 @@ int cmd_perf(const CliOptions& cli) {
 
   Json doc = Json::object();
   doc.set("schema", "dfsim-bench-engine/v1");
-  doc.set("routing", to_string(routing));
-  doc.set("traffic", to_string(traffic));
+  // No preset sets a mechanism or a pattern: --set alone chooses them.
+  const SimParams shown = configured(SimParams{});
+  doc.set("routing", to_string(shown.routing.kind));
+  doc.set("traffic", to_string(shown.traffic.kind));
   doc.set("warmup", static_cast<std::int64_t>(warmup));
   doc.set("points", points);
   if (phases) doc.set("phase_profiled", true);
